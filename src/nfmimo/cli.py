@@ -13,59 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamfocus, experiments, spectrum as sp
+from . import beamfocus, experiments
 from .beamfocus import GainMode
-from .channel import SystemGeometry, build_channel
-from .geometry import build_upa
+from .channel import build_channel  # noqa: F401  (benchmarks/test_benchmark.py traces it here)
+from .experiments import SystemParams, coaxial_system
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved single-point run parameters (all lengths in meters)."""
-
-    wavelength: float
-    side_count: int
-    spacing: float
-    separation: float
-    energy_fraction: float = sp.DEFAULT_ENERGY_FRACTION
-    power: float | None = None  # None: auto, focused single-antenna SNR = 10 dB
-    noise_variance: float = 1.0
-    output: str | None = None
-
-    def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        if self.side_count < 1:
-            raise ValueError("side_count must be >= 1")
-        if not self.spacing > 0 and self.side_count > 1:
-            raise ValueError("spacing must be positive")
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
-        if not 0 < self.energy_fraction < 1:
-            raise ValueError("energy_fraction must be in (0, 1)")
-        if self.power is not None and self.power < 0:
-            raise ValueError("power must be >= 0")
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be positive")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.side_count**2
-
-    def resolved_power(self) -> float:
-        if self.power is not None:
-            return self.power
-        return experiments.auto_power(self.n_antennas, self.separation, self.noise_variance)
 
 
 def parse_length(text, wavelength: float) -> float:
@@ -97,12 +56,25 @@ DEFAULTS = {
 }
 
 
-def load_config(args) -> RunConfig:
-    """Merge defaults, an optional JSON config file and flag overrides."""
+def _number(value, kind):
+    """Quoted numbers, and ints for a float, convert to `kind`; SystemParams checks the rest."""
+    if isinstance(value, str) or (kind is float and type(value) is int):
+        return kind(value)
+    return value
+
+
+def load_config(args) -> tuple[SystemParams, str | None]:
+    """Merge defaults, an optional JSON config file and flag overrides.
+
+    Returns the validated parameters and the output path (None: the
+    command's default).
+    """
     merged = dict(DEFAULTS)
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold a JSON object")
         unknown = set(data) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -112,66 +84,53 @@ def load_config(args) -> RunConfig:
         if value is not None:
             merged[name] = value
 
-    wavelength = float(merged["wavelength"])
-    return RunConfig(
+    # lengths in lambda need the wavelength before SystemParams can check it
+    wavelength = _number(merged["wavelength"], float)
+    if not isinstance(wavelength, float):
+        raise ValueError(f"wavelength must be a number, got {wavelength!r}")
+    settings = ("energy_fraction", "power", "noise_variance")
+    params = SystemParams(
         wavelength=wavelength,
-        side_count=int(merged["side_count"]),
+        side_count=_number(merged["side_count"], int),
         spacing=parse_length(merged["spacing"], wavelength),
         separation=parse_length(merged["separation"], wavelength),
-        energy_fraction=float(merged.get("energy_fraction", sp.DEFAULT_ENERGY_FRACTION)),
-        power=None if merged.get("power") is None else float(merged["power"]),
-        noise_variance=float(merged.get("noise_variance", 1.0)),
-        output=merged.get("output"),
+        **{name: _number(merged[name], float) for name in settings if name in merged},
     )
+    return params, merged.get("output")
 
 
-def _system(config: RunConfig) -> SystemGeometry:
-    tx = build_upa(config.side_count, config.spacing, 0.0)
-    rx = build_upa(config.side_count, config.spacing, config.separation)
-    return SystemGeometry(tx=tx, rx=rx, wavelength=config.wavelength)
-
-
-def cmd_threshold(config: RunConfig) -> int:
-    d_th = beamfocus.spacing_threshold(config.n_antennas, config.wavelength, config.separation)
+def cmd_threshold(params: SystemParams) -> int:
+    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     eps = beamfocus.paraxial_parameter(
-        config.n_antennas, config.spacing, config.wavelength, config.separation
+        params.n_antennas, params.spacing, params.wavelength, params.separation
     )
-    print(f"d_threshold = {d_th:.4g} m = {d_th / config.wavelength:.4g} lambda")
-    print(f"configured spacing = {config.spacing:.4g} m -> epsilon = {eps:.4g}")
+    print(f"d_threshold = {d_th:.4g} m = {d_th / params.wavelength:.4g} lambda")
+    print(f"configured spacing = {params.spacing:.4g} m -> epsilon = {eps:.4g}")
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig, as_json: bool) -> int:
-    geometry = _system(config)
-    spec_vals = sp.eigen_spectrum(build_channel(geometry))
-    report = sp.edof_report(
-        spec_vals,
-        sp.plane_area(geometry.tx),
-        sp.plane_area(geometry.rx),
-        config.wavelength,
-        config.separation,
-        fraction=config.energy_fraction,
-    )
-    power = config.resolved_power()
-    cap_full = sp.capacity(spec_vals, power, config.noise_variance, config.n_antennas)
-    cap_edof = sp.capacity(
-        spec_vals, power, config.noise_variance, config.n_antennas, report.n_edof_exact
-    )
-    payload = report.to_dict()
-    payload["capacity_full"] = cap_full
-    payload["capacity_edof_exact"] = cap_edof
+# report prints these fields of the one-point sweep record, plus energy_fraction
+REPORT_FIELDS = (
+    "n_dof", "n_edof_exact", "n_edof_fringes", "n_edof_trace", "capacity_full", "capacity_edof_exact"
+)
+
+
+def cmd_report(params: SystemParams, as_json: bool, output: str | None) -> int:
+    record = experiments.point_metrics(params, params.spacing)
+    payload = {name: getattr(record, name) for name in REPORT_FIELDS}
+    payload["energy_fraction"] = params.energy_fraction
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"n_dof           = {report.n_dof}")
-        print(f"n_edof_exact    = {report.n_edof_exact}")
-        print(f"n_edof_fringes  = {report.n_edof_fringes:.4g}")
-        print(f"n_edof_trace    = {report.n_edof_trace:.4g}")
-        print(f"energy_fraction = {report.energy_fraction_used:.4g}")
-        print(f"capacity_full       = {cap_full:.4g} bits/s/Hz")
-        print(f"capacity_edof_exact = {cap_edof:.4g} bits/s/Hz")
-    if config.output:
-        with open(config.output, "w") as fh:
+        print(f"n_dof           = {record.n_dof}")
+        print(f"n_edof_exact    = {record.n_edof_exact}")
+        print(f"n_edof_fringes  = {record.n_edof_fringes:.4g}")
+        print(f"n_edof_trace    = {record.n_edof_trace:.4g}")
+        print(f"energy_fraction = {params.energy_fraction:.4g}")
+        print(f"capacity_full       = {record.capacity_full:.4g} bits/s/Hz")
+        print(f"capacity_edof_exact = {record.capacity_edof_exact:.4g} bits/s/Hz")
+    if output:
+        with open(output, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_OK
@@ -204,30 +163,34 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_gainmap(config: RunConfig, args) -> int:
-    geometry = _system(config)
+def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    geometry = coaxial_system(
+        params.side_count, params.spacing, params.separation, params.wavelength
+    )
     setup = beamfocus.make_focus_setup(geometry)
     mode = GainMode(args.mode)
     extent = (
-        parse_length(args.extent, config.wavelength)
+        parse_length(args.extent, params.wavelength)
         if args.extent is not None
         else 2
-        * beamfocus.spacing_threshold(config.n_antennas, config.wavelength, config.separation)
+        * beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     )
     coords = np.linspace(-extent, extent, args.points)
     probes = [(x, y) for x in coords for y in coords]
     rows = beamfocus.gain_map(setup, probes, mode)
-    output = config.output or "gainmap.csv"
+    output = output or "gainmap.csv"
     beamfocus.write_gain_map_csv(rows, output)
     print(f"wrote {len(rows)} probes to {output}")
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
-    d_th = beamfocus.spacing_threshold(config.n_antennas, config.wavelength, config.separation)
+def cmd_validate(params: SystemParams) -> int:
+    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
     report = experiments.validate_closed_form(
-        [config.side_count], grid, config.wavelength, config.separation
+        [params.side_count], grid, params.wavelength, params.separation
     )
     print(f"max normalized closed-form error: {report['max_normalized_error']:.4g}")
     print("PASS" if report["passes"] else "FAIL")
@@ -280,15 +243,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return cmd_sweep(args)
-        config = load_config(args)
+        params, output = load_config(args)
         if args.command == "threshold":
-            return cmd_threshold(config)
+            return cmd_threshold(params)
         if args.command == "report":
-            return cmd_report(config, args.json)
+            return cmd_report(params, args.json, output)
         if args.command == "gainmap":
-            return cmd_gainmap(config, args)
+            return cmd_gainmap(params, output, args)
         if args.command == "validate":
-            return cmd_validate(config)
+            return cmd_validate(params)
         raise AssertionError(f"unhandled command {args.command}")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,13 +8,17 @@ deterministic: the same spec yields byte-identical CSV output.
 When no transmit power is given it is resolved per point so that the
 focused single-antenna SNR is 10 dB (the reference figures omit the SNR
 setting, so capacity curves are shape-level reproductions only).
+
+Every metric of one system comes from `point_metrics` on a validated
+`SystemParams`; a sweep point and the CLI's `report` share that path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -23,24 +27,11 @@ from .beamfocus import GainMode
 from .channel import SystemGeometry, build_channel
 from .geometry import build_upa
 
-SWEPT_VARIABLES = ("spacing", "antennas_per_side", "separation")
+# swept variable -> the SystemParams field it sets
+SWEPT_FIELD = {"spacing": "spacing", "antennas_per_side": "side_count", "separation": "separation"}
+SWEPT_VARIABLES = tuple(SWEPT_FIELD)
 DEFAULT_MAX_POINTS = 200
 DEFAULT_FOCUSED_SNR_DB = 10.0
-
-RECORD_FIELDS = (
-    "swept_value",
-    "n_dof",
-    "n_edof_exact",
-    "n_edof_fringes",
-    "n_edof_trace",
-    "rho1_closed",
-    "rho1_phase_only",
-    "capacity_full",
-    "capacity_edof_exact",
-    "capacity_edof_fringes",
-    "capacity_edof_trace",
-    "epsilon",
-)
 
 
 class SweepError(RuntimeError):
@@ -51,80 +42,122 @@ class SweepError(RuntimeError):
         self.swept_value = swept_value
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable sweep over an otherwise fixed two-UPA system."""
+def _is_number(value) -> bool:
+    """A finite real number; bools and numeric strings are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
-    swept_variable: str
-    grid: tuple
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+# field -> (what it must be, check)
+FIELD_RULES = {
+    "wavelength": ("a positive finite number", _is_positive),
+    "side_count": ("an integer >= 1", _is_count),
+    "spacing": ("a positive finite number", _is_positive),
+    "separation": ("a positive finite number", _is_positive),
+    "energy_fraction": ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1),
+    "power": ("null or a finite number >= 0", lambda v: v is None or (_is_number(v) and v >= 0)),
+    "noise_variance": ("a positive finite number", _is_positive),
+    "area_convention": (f"one of {sp.AREA_CONVENTIONS}", lambda v: v in sp.AREA_CONVENTIONS),
+    "max_points": ("an integer >= 1", _is_count),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class SystemParams:
+    """Two identical coaxial square UPAs and the metric settings (lengths in meters).
+
+    The one validated parameter type: a wrong type, a non-finite number or
+    an out-of-range value raises ValueError naming the field.
+    """
+
     wavelength: float
-    side_count: int | None = None
-    spacing: float | None = None
-    separation: float | None = None
+    side_count: int
+    spacing: float
+    separation: float
     energy_fraction: float = sp.DEFAULT_ENERGY_FRACTION
     power: float | None = None  # None: auto, focused single-antenna SNR = 10 dB
     noise_variance: float = 1.0
     area_convention: str = "cell"
+
+    def __post_init__(self):
+        self._validate(swept=None)
+
+    def _validate(self, swept: str | None) -> None:
+        """Check every field against FIELD_RULES; the `swept` field must be None instead."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == swept:
+                if value is not None:
+                    raise ValueError(f"{swept} is swept and must not also be fixed")
+            elif f.name in FIELD_RULES and not FIELD_RULES[f.name][1](value):
+                raise ValueError(f"{f.name} must be {FIELD_RULES[f.name][0]}, got {value!r}")
+
+    @property
+    def n_antennas(self) -> int:
+        return self.side_count**2
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(SystemParams):
+    """One-variable sweep: SystemParams with the swept field unset, plus a grid."""
+
+    swept_variable: str
+    grid: tuple
+    side_count: int | None = None
+    spacing: float | None = None
+    separation: float | None = None
     max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         if self.swept_variable not in SWEPT_VARIABLES:
             raise ValueError(f"swept_variable must be one of {SWEPT_VARIABLES}")
+        if not hasattr(self.grid, "__iter__"):
+            raise ValueError(f"sweep grid must be a list of numbers, got {self.grid!r}")
         grid = tuple(self.grid)
         object.__setattr__(self, "grid", grid)
+        self._validate(swept=SWEPT_FIELD[self.swept_variable])
         if len(grid) == 0:
             raise ValueError("sweep grid is empty")
         if len(grid) > self.max_points:
             raise ValueError(f"sweep grid has {len(grid)} points, cap is {self.max_points}")
+        bad = [v for v in grid if not _is_number(v)]
+        if bad:
+            raise ValueError(f"sweep grid entries must be finite numbers, got {bad[0]!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        if not 0 < self.energy_fraction < 1:
-            raise ValueError("energy_fraction must be in (0, 1)")
-        if self.power is not None and self.power < 0:
-            raise ValueError("power must be >= 0")
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be positive")
-        fixed = {
-            "spacing": self.spacing,
-            "antennas_per_side": self.side_count,
-            "separation": self.separation,
-        }
-        if fixed[self.swept_variable] is not None:
-            raise ValueError(f"{self.swept_variable} is swept and must not also be fixed")
-        for name, value in fixed.items():
-            if name != self.swept_variable:
-                if value is None:
-                    raise ValueError(f"fixed parameter {name} is missing")
-                if not value > 0:
-                    raise ValueError(f"fixed parameter {name} must be positive")
+        # the range of each grid value is checked per point, by at()
+
+    def at(self, value) -> SystemParams:
+        """The parameters of the grid point `value`."""
+        swept = SWEPT_FIELD[self.swept_variable]
+        params = {f.name: getattr(self, f.name) for f in fields(SystemParams)}
+        params[swept] = int(value) if swept == "side_count" else float(value)
+        return SystemParams(**params)
 
     def to_dict(self) -> dict:
-        return {
-            "swept_variable": self.swept_variable,
-            "grid": list(self.grid),
-            "wavelength": self.wavelength,
-            "side_count": self.side_count,
-            "spacing": self.spacing,
-            "separation": self.separation,
-            "energy_fraction": self.energy_fraction,
-            "power": self.power,
-            "noise_variance": self.noise_variance,
-            "area_convention": self.area_convention,
-            "max_points": self.max_points,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["grid"] = list(self.grid)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known - {"preset", "notes"}
+        if not isinstance(data, dict):
+            raise ValueError("a sweep spec must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        unknown = set(data) - names - {"preset", "notes"}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "grid" in kwargs:
-            kwargs["grid"] = tuple(kwargs["grid"])
-        return cls(**kwargs)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ValueError(f"missing spec fields: {sorted(missing)}")
+        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -146,6 +179,9 @@ class SweepRecord:
         return tuple(getattr(self, f) for f in RECORD_FIELDS)
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+
+
 def auto_power(n_antennas: int, separation: float, noise_variance: float) -> float:
     """Power making the focused single-antenna SNR equal 10 dB."""
     target = 10 ** (DEFAULT_FOCUSED_SNR_DB / 10)
@@ -157,57 +193,45 @@ def _estimator_truncation(estimate: float, n_values: int) -> int:
     return min(n_values, max(1, math.ceil(estimate)))
 
 
-def _point_record(spec: SweepSpec, value) -> SweepRecord:
-    side = spec.side_count
-    spacing = spec.spacing
-    separation = spec.separation
-    if spec.swept_variable == "spacing":
-        spacing = float(value)
-    elif spec.swept_variable == "antennas_per_side":
-        side = int(value)
-    else:
-        separation = float(value)
+def coaxial_system(
+    side_count: int, spacing: float, separation: float, wavelength: float
+) -> SystemGeometry:
+    """Two identical square UPAs, the transmitter at z = 0 and the receiver at z = separation."""
+    tx = build_upa(side_count, spacing, 0.0)
+    rx = build_upa(side_count, spacing, separation)
+    return SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
 
-    tx = build_upa(side, spacing, 0.0)
-    rx = build_upa(side, spacing, separation)
-    geometry = SystemGeometry(tx=tx, rx=rx, wavelength=spec.wavelength)
-    channel = build_channel(geometry)
-    spec_vals = sp.eigen_spectrum(channel)
 
-    n = tx.size
-    area_tx = sp.plane_area(tx, spec.area_convention)
-    area_rx = sp.plane_area(rx, spec.area_convention)
-    n_dof = sp.count_dof(spec_vals)
-    n_exact = sp.edof_exact(spec_vals, spec.energy_fraction)
-    n_fringes = sp.edof_fringes(area_tx, area_rx, spec.wavelength, separation)
-    n_trace = sp.edof_trace(spec_vals)
+def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
+    """Every DoF / EDoF / gain / capacity metric of one system."""
+    p = params
+    geometry = coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength)
+    spec_vals = sp.eigen_spectrum(build_channel(geometry))
+    area_tx, area_rx = (sp.plane_area(a, p.area_convention) for a in (geometry.tx, geometry.rx))
+    edof = sp.edof_report(spec_vals, area_tx, area_rx, p.wavelength, p.separation, p.energy_fraction)
 
+    n = p.n_antennas
     setup = beamfocus.make_focus_setup(geometry)
-    r1 = (spacing, 0.0, rx.plane_offset)
-    rho1_closed = beamfocus.array_gain_closed_form(n, spacing, spec.wavelength, separation)
-    rho1_phase = beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY)
-
-    power = spec.power
-    if power is None:
-        power = auto_power(n, separation, spec.noise_variance)
+    r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
+    power = p.power if p.power is not None else auto_power(n, p.separation, p.noise_variance)
     n_values = spec_vals.values.size
 
     def cap(truncate_to=None):
-        return sp.capacity(spec_vals, power, spec.noise_variance, n, truncate_to)
+        return sp.capacity(spec_vals, power, p.noise_variance, n, truncate_to)
 
     return SweepRecord(
-        swept_value=float(value),
-        n_dof=n_dof,
-        n_edof_exact=n_exact,
-        n_edof_fringes=n_fringes,
-        n_edof_trace=n_trace,
-        rho1_closed=rho1_closed,
-        rho1_phase_only=rho1_phase,
+        swept_value=float(swept_value),
+        n_dof=edof.n_dof,
+        n_edof_exact=edof.n_edof_exact,
+        n_edof_fringes=edof.n_edof_fringes,
+        n_edof_trace=edof.n_edof_trace,
+        rho1_closed=beamfocus.array_gain_closed_form(n, p.spacing, p.wavelength, p.separation),
+        rho1_phase_only=beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY),
         capacity_full=cap(),
-        capacity_edof_exact=cap(n_exact),
-        capacity_edof_fringes=cap(_estimator_truncation(n_fringes, n_values)),
-        capacity_edof_trace=cap(_estimator_truncation(n_trace, n_values)),
-        epsilon=beamfocus.paraxial_parameter(n, spacing, spec.wavelength, separation),
+        capacity_edof_exact=cap(edof.n_edof_exact),
+        capacity_edof_fringes=cap(_estimator_truncation(edof.n_edof_fringes, n_values)),
+        capacity_edof_trace=cap(_estimator_truncation(edof.n_edof_trace, n_values)),
+        epsilon=beamfocus.paraxial_parameter(n, p.spacing, p.wavelength, p.separation),
     )
 
 
@@ -216,7 +240,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     records = []
     for value in spec.grid:
         try:
-            records.append(_point_record(spec, value))
+            records.append(point_metrics(spec.at(value), value))
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SweepError(value, exc) from exc
     return records
@@ -246,10 +270,7 @@ def validate_closed_form(n_side_values, spacing_grid, wavelength, separation) ->
                     f"grid point side={side}, spacing={d} has epsilon={eps:.3f} > 1.2"
                 )
             closed = beamfocus.array_gain_closed_form(n, d, wavelength, separation)
-            tx = build_upa(side, d, 0.0)
-            rx = build_upa(side, d, separation)
-            geometry = SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
-            setup = beamfocus.make_focus_setup(geometry)
+            setup = beamfocus.make_focus_setup(coaxial_system(side, d, separation, wavelength))
             phase_only = beamfocus.array_gain(setup, (d, 0.0, separation), GainMode.PHASE_ONLY)
             rows.append(
                 {
@@ -364,9 +385,7 @@ def _preset_fig5() -> tuple[SweepSpec, dict]:
 def _profile_spec(spacing_factor: float) -> SystemGeometry:
     lam, sep, side = 0.01, 40.0, 25
     d = spacing_factor * beamfocus.spacing_threshold(side**2, lam, sep)
-    tx = build_upa(side, d, 0.0)
-    rx = build_upa(side, d, sep)
-    return SystemGeometry(tx=tx, rx=rx, wavelength=lam)
+    return coaxial_system(side, d, sep, lam)
 
 
 SWEEP_PRESETS = {

@@ -19,6 +19,7 @@ from .geometry import PlanarArray
 
 DEFAULT_ENERGY_FRACTION = 0.999
 DEFAULT_DOF_FLOOR = 1e-12
+AREA_CONVENTIONS = ("cell", "span")
 
 # Eigenvalues of a PSD Gram matrix may come out slightly negative from an
 # eigensolver; anything below this (relative to the largest eigenvalue)
@@ -44,8 +45,6 @@ class EdofReport:
     n_edof_fringes: float
     n_edof_trace: float
     energy_fraction_used: float
-
-    CSV_FIELDS = ("n_dof", "n_edof_exact", "n_edof_fringes", "n_edof_trace", "energy_fraction")
 
     def to_dict(self) -> dict:
         return {

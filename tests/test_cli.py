@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_length
+from nfmimo.experiments import SweepSpec, run_sweep
 
 
 class TestParseLength:
@@ -191,3 +192,68 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+
+SPEC = {
+    "swept_variable": "spacing",
+    "grid": [0.005, 0.01],
+    "wavelength": 0.01,
+    "side_count": 2,
+    "separation": 1.0,
+}
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+class TestInputChecks:
+    """Malformed input gives a one-line error and exit 1, before any point runs."""
+
+    def test_config_fractional_side_count(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"side_count": 5.5}))
+        assert main(["report", "--config", str(cfg), "--spacing", "1lambda"]) == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"side_count": 5.5},
+            {"wavelength": "0.01"},
+            {"area_convention": "bogus"},
+            {"grid": [0.005, "NaN"]},
+            # json.dumps writes a float nan as the bare NaN that json.load accepts
+            {"grid": [0.005, float("nan")]},
+        ],
+        ids=["side_count_5.5", "wavelength_string", "area_convention_bogus", "grid_nan_string", "grid_nan_json"],
+    )
+    def test_spec_rejected_at_load(self, tmp_path, capsys, overrides):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**SPEC, **overrides}))
+        out = tmp_path / "never.csv"
+        assert main(["sweep", str(spec_file), "--output", str(out)]) == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_gainmap_zero_points(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        code = main(["gainmap", "--side-count", "2", "--points", "0", "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+
+def test_report_is_the_one_point_sweep(capsys):
+    args = ["--side-count", "3", "--spacing", "0.02", "--separation", "1.0"]
+    assert main(["report", "--json", *args]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    spec = SweepSpec(
+        swept_variable="spacing", grid=(0.02,), wavelength=0.01, side_count=3, separation=1.0
+    )
+    (record,) = run_sweep(spec)
+    assert payload.pop("energy_fraction") == spec.energy_fraction
+    for key, value in payload.items():
+        assert value == getattr(record, key), key
