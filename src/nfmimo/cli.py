@@ -37,16 +37,19 @@ def parse_length(text, wavelength: float) -> float:
     return float(s)
 
 
-CONFIG_FIELDS = (
-    "wavelength",
-    "side_count",
-    "spacing",
-    "separation",
-    "energy_fraction",
-    "power",
-    "noise_variance",
-    "output",
-)
+# Each config field as a flag (dest -> argparse keywords). A subcommand takes
+# the flags it reads; the JSON config file takes all, so one file serves all.
+FLAGS = {
+    "wavelength": {"type": float, "help": "carrier wavelength in meters"},
+    "side_count": {"type": int, "help": "antennas per side"},
+    "spacing": {"help": "antenna spacing (meters or e.g. 0.5lambda)"},
+    "separation": {"help": "plane separation (meters or e.g. 4000lambda)"},
+    "energy_fraction": {"type": float},
+    "power": {"type": float, "help": "total transmit power"},
+    "noise_variance": {"type": float},
+    "output": {"help": "output file path"},
+}
+SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
 
 DEFAULTS = {
     "wavelength": 0.01,
@@ -75,11 +78,11 @@ def load_config(args) -> tuple[SystemParams, str | None]:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("a config file must hold a JSON object")
-        unknown = set(data) - set(CONFIG_FIELDS)
+        unknown = set(data) - set(FLAGS)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         merged.update(data)
-    for name in CONFIG_FIELDS:
+    for name in FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -166,20 +169,21 @@ def cmd_sweep(args) -> int:
 def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if args.extent is None:
+        extent = 2 * beamfocus.spacing_threshold(
+            params.n_antennas, params.wavelength, params.separation
+        )
+    else:
+        extent = parse_length(args.extent, params.wavelength)
+        if not 0 < extent < np.inf:
+            raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     geometry = coaxial_system(
         params.side_count, params.spacing, params.separation, params.wavelength
     )
     setup = beamfocus.make_focus_setup(geometry)
-    mode = GainMode(args.mode)
-    extent = (
-        parse_length(args.extent, params.wavelength)
-        if args.extent is not None
-        else 2
-        * beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
-    )
     coords = np.linspace(-extent, extent, args.points)
     probes = [(x, y) for x in coords for y in coords]
-    rows = beamfocus.gain_map(setup, probes, mode)
+    rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
     output = output or "gainmap.csv"
     beamfocus.write_gain_map_csv(rows, output)
     print(f"wrote {len(rows)} probes to {output}")
@@ -197,50 +201,52 @@ def cmd_validate(params: SystemParams) -> int:
     return EXIT_OK if report["passes"] else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad argument, so main reports it as one line with exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nfmimo",
         description="Near-field XL-MIMO channel metrics: EDoF, capacity, "
         "beam-focusing gains and the optimal antenna spacing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    def add_parser(name, summary, flags):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--wavelength", type=float, help="carrier wavelength in meters")
-        p.add_argument("--side-count", dest="side_count", type=int, help="antennas per side")
-        p.add_argument("--spacing", help="antenna spacing (meters or e.g. 0.5lambda)")
-        p.add_argument("--separation", help="plane separation (meters or e.g. 4000lambda)")
-        p.add_argument("--energy-fraction", dest="energy_fraction", type=float)
-        p.add_argument("--power", type=float, help="total transmit power")
-        p.add_argument("--noise-variance", dest="noise_variance", type=float)
-        p.add_argument("--output", help="output file path")
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **FLAGS[dest])
+        return p
 
-    add_config_flags(sub.add_parser("threshold", help="print the optimal spacing threshold"))
+    add_parser("threshold", "print the optimal spacing threshold", SYSTEM_FLAGS)
 
-    p_report = sub.add_parser("report", help="DoF/EDoF/capacity report for one configuration")
-    add_config_flags(p_report)
+    p_report = add_parser("report", "DoF/EDoF/capacity report for one configuration", FLAGS)
     p_report.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a preset or spec-file sweep to CSV")
     p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.preset_names())}) or spec file")
     p_sweep.add_argument("--output", help="output CSV path")
 
-    p_map = sub.add_parser("gainmap", help="focal-spot gain map over the receive plane")
-    add_config_flags(p_map)
+    p_map = add_parser(
+        "gainmap", "focal-spot gain map over the receive plane", (*SYSTEM_FLAGS, "output")
+    )
     p_map.add_argument("--mode", choices=[m.value for m in GainMode], default="phase_only")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
     p_map.add_argument("--points", type=int, default=41, help="probes per axis")
 
-    p_val = sub.add_parser("validate", help="check the closed-form gain against the phasor sum")
-    add_config_flags(p_val)
+    validate_flags = ("wavelength", "side_count", "separation")
+    add_parser("validate", "check the closed-form gain against the phasor sum", validate_flags)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "sweep":
             return cmd_sweep(args)
         params, output = load_config(args)

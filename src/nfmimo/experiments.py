@@ -132,13 +132,14 @@ class SweepSpec(SystemParams):
             raise ValueError(f"sweep grid entries must be finite numbers, got {bad[0]!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
-        # the range of each grid value is checked per point, by at()
+        for value in grid:
+            self.at(value)
 
     def at(self, value) -> SystemParams:
         """The parameters of the grid point `value`."""
         swept = SWEPT_FIELD[self.swept_variable]
         params = {f.name: getattr(self, f.name) for f in fields(SystemParams)}
-        params[swept] = int(value) if swept == "side_count" else float(value)
+        params[swept] = value if swept == "side_count" else float(value)
         return SystemParams(**params)
 
     def to_dict(self) -> dict:
@@ -239,8 +240,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, emitting records in grid order."""
     records = []
     for value in spec.grid:
+        params = spec.at(value)  # cannot fail: the spec checked every grid value
         try:
-            records.append(point_metrics(spec.at(value), value))
+            records.append(point_metrics(params, value))
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SweepError(value, exc) from exc
     return records

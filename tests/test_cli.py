@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_length
+from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_length
 from nfmimo.experiments import SweepSpec, run_sweep
 
 
@@ -227,8 +228,13 @@ class TestInputChecks:
             {"grid": [0.005, "NaN"]},
             # json.dumps writes a float nan as the bare NaN that json.load accepts
             {"grid": [0.005, float("nan")]},
+            {"swept_variable": "separation", "separation": None, "spacing": 0.005, "grid": [-1.0, 1.0]},
+            {"swept_variable": "antennas_per_side", "side_count": None, "spacing": 0.005, "grid": [2.2, 2.7]},
         ],
-        ids=["side_count_5.5", "wavelength_string", "area_convention_bogus", "grid_nan_string", "grid_nan_json"],
+        ids=[
+            "side_count_5.5", "wavelength_string", "area_convention_bogus", "grid_nan_string",
+            "grid_nan_json", "grid_separation_negative", "grid_side_count_fractional",
+        ],
     )
     def test_spec_rejected_at_load(self, tmp_path, capsys, overrides):
         spec_file = tmp_path / "spec.json"
@@ -238,12 +244,61 @@ class TestInputChecks:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--side-count", "abc"],
+            ["threshold", "--bogus", "1"],
+            # each subcommand takes only the flags its handler reads
+            ["threshold", "--power", "5"],
+            ["threshold", "--output", "x"],
+            ["validate", "--spacing", "1lambda"],
+            ["gainmap", "--side-count", "2", "--points", "3", "--energy-fraction", "0.5"],
+            ["gainmap", "--side-count", "2", "--points", "3", "--extent=-1lambda"],
+            ["gainmap", "--side-count", "2", "--points", "3", "--extent", "0"],
+        ],
+        ids=[
+            "bad_int", "unknown_flag", "threshold_power", "threshold_output", "validate_spacing",
+            "gainmap_energy_fraction", "gainmap_extent_negative", "gainmap_extent_zero",
+        ],
+    )
+    def test_bad_argv(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--separation" in capsys.readouterr().out
+
     def test_gainmap_zero_points(self, tmp_path, capsys):
         out = tmp_path / "map.csv"
         code = main(["gainmap", "--side-count", "2", "--points", "0", "--output", str(out)])
         assert code == EXIT_VALIDATION
         assert_one_line_error(capsys)
         assert not out.exists()
+
+
+def test_subcommand_flags():
+    """Each subcommand takes exactly the options its handler reads."""
+    system = {"config", "wavelength", "side_count", "spacing", "separation"}
+    expected = {
+        "threshold": system,
+        "report": system | {"energy_fraction", "power", "noise_variance", "output", "json"},
+        "sweep": {"preset", "output"},
+        "gainmap": system | {"output", "mode", "extent", "points"},
+        "validate": system - {"spacing"},
+    }
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        name: {a.dest for a in parser._actions if a.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert dests == expected
+    assert sum(map(len, dests.values())) == 30
 
 
 def test_report_is_the_one_point_sweep(capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nfmimo import experiments
 from nfmimo.channel import SystemGeometry
 from nfmimo.experiments import (
     RECORD_FIELDS,
@@ -109,28 +110,30 @@ class TestRunSweep:
         assert len(run_sweep(spec)) == 2
 
     def test_failure_names_grid_value(self):
-        spec = SweepSpec(
-            swept_variable="antennas_per_side",
-            grid=(2, 3, 5),
-            wavelength=LAM,
-            spacing=0.5 * LAM,
-            separation=100 * LAM,
-            max_points=5,
-        )
-        # antennas_per_side of 0 cannot appear via validation, so force a
-        # bad point through a non-square-compatible spacing is not possible;
-        # use a grid value that breaks geometry instead
-        bad = SweepSpec(
-            swept_variable="separation",
-            grid=(-1.0, 1.0),
-            wavelength=LAM,
-            side_count=2,
-            spacing=0.5 * LAM,
-        )
-        with pytest.raises(SweepError) as err:
-            run_sweep(bad)
-        assert err.value.swept_value == -1.0
-        assert run_sweep(spec)  # the good spec still runs
+        # a grid value out of its field's range is malformed input, caught
+        # when the spec is built rather than when its point runs
+        with pytest.raises(ValueError, match=r"separation .*-1\.0"):
+            SweepSpec(
+                swept_variable="separation",
+                grid=(-1.0, 1.0),
+                wavelength=LAM,
+                side_count=2,
+                spacing=0.5 * LAM,
+            )
+
+    def test_numerical_failure_names_grid_value(self, monkeypatch):
+        original = experiments.point_metrics
+
+        def fail_at_second_point(params, value):
+            if value == 0.008:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(params, value)
+
+        monkeypatch.setattr(experiments, "point_metrics", fail_at_second_point)
+        with pytest.raises(SweepError, match="0.008") as err:
+            run_sweep(small_spec(grid=(0.004, 0.008, 0.012)))
+        assert err.value.swept_value == 0.008
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = small_spec(grid=(0.004, 0.008))
