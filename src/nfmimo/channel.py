@@ -4,6 +4,15 @@ The channel entry between a transmit antenna at r_S and a receive antenna
 at r_R is -exp(ik|r_R - r_S|) / (4 pi |r_R - r_S|), evaluated with the exact
 distance. No amplitude or phase approximation is applied here; approximate
 propagation models live in `beamfocus` behind explicit mode labels.
+
+When the positions show that transmitter and receiver are one square grid
+(antenna (n, m) at (c[n], c[m]) on both) in two planes of constant z, the
+distance depends only on the squared 1-D offsets (c[n] - c[n'])^2 and
+(c[m] - c[m'])^2. `build_channel` then evaluates the kernel once per distinct
+pair of them and gathers the matrix; the distance is rounded as the dense
+assembly rounds it, so the entries are bit-identical. Any other geometry,
+such as a shifted or rescaled receiver or unequal arrays, takes the dense
+per-pair assembly, which is also the reference in the tests.
 """
 
 from __future__ import annotations
@@ -79,17 +88,47 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
     return complex(-np.exp(1j * k * r) / (4 * np.pi * r))
 
 
+def _shared_grid(geometry: SystemGeometry) -> np.ndarray | None:
+    """The 1-D coordinates c when both arrays put antenna (n, m) at (c[n], c[m])
+    and each lies in a plane of constant z; None otherwise."""
+    tx, rx = geometry.tx.positions, geometry.rx.positions
+    side = math.isqrt(len(tx))
+    if side == 0 or side * side != len(tx) or tx.shape != rx.shape:
+        return None
+    c = tx[:side, 1]
+    x, y = np.meshgrid(c, c, indexing="ij")
+    grid = np.column_stack([x.ravel(), y.ravel()])
+    same_grid = np.array_equal(tx[:, :2], grid) and np.array_equal(rx[:, :2], grid)
+    planar = (tx[:, 2] == tx[0, 2]).all() and (rx[:, 2] == rx[0, 2]).all()
+    return c if same_grid and planar else None
+
+
+def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
+    if not (r > 0).all():
+        raise ValueError("coincident transmit/receive antennas")
+    return -np.exp(1j * wavenumber * r) / (4 * np.pi * r)
+
+
 def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     """Assemble the exact Green's-function channel matrix.
 
     entries[i, j] couples receive antenna i to transmit antenna j, using
     the array ordering fixed by `geometry`'s PlanarArrays.
     """
-    diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    if not (r > 0).all():
-        raise ValueError("coincident transmit/receive antennas")
-    entries = -np.exp(1j * geometry.wavenumber * r) / (4 * np.pi * r)
+    c = _shared_grid(geometry)
+    if c is None:
+        diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
+        entries = _kernel(np.linalg.norm(diff, axis=2), geometry.wavenumber)
+    else:
+        # r = sqrt((dx^2 + dy^2) + dz^2), summed in np.linalg.norm's order
+        offsets = c[:, None] - c[None, :]
+        squares, index = np.unique(offsets * offsets, return_inverse=True)
+        dz = geometry.rx.positions[0, 2] - geometry.tx.positions[0, 2]
+        r = np.sqrt((squares[:, None] + squares[None, :]) + dz * dz)
+        table = _kernel(r, geometry.wavenumber)
+        side = c.size
+        index = index.reshape(side, side)
+        entries = table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries, geometry=geometry)
 

@@ -27,14 +27,22 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def parse_length(text, wavelength: float) -> float:
-    """Parse a length in meters or in wavelength multiples (`lambda` suffix)."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip()
-    if s.endswith("lambda"):
-        return float(s[: -len("lambda")]) * wavelength
-    return float(s)
+def parse_length(text, wavelength: float, name: str = "length") -> float:
+    """Parse a length in meters or in wavelength multiples (`lambda` suffix).
+
+    A value that is neither raises ValueError naming `name`.
+    """
+    try:
+        if isinstance(text, (int, float)) and not isinstance(text, bool):
+            return float(text)
+        s = str(text).strip()
+        if s.endswith("lambda"):
+            return float(s[: -len("lambda")]) * wavelength
+        return float(s)
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"{name} must be a length in meters or wavelengths (e.g. 12.65lambda), got {text!r}"
+        ) from None
 
 
 # Each config field as a flag (dest -> argparse keywords). A subcommand takes
@@ -59,10 +67,14 @@ DEFAULTS = {
 }
 
 
-def _number(value, kind):
+def _number(name, value, kind):
     """Quoted numbers, and ints for a float, convert to `kind`; SystemParams checks the rest."""
     if isinstance(value, str) or (kind is float and type(value) is int):
-        return kind(value)
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name} must be {what}, got {value!r}") from None
     return value
 
 
@@ -88,16 +100,16 @@ def load_config(args) -> tuple[SystemParams, str | None]:
             merged[name] = value
 
     # lengths in lambda need the wavelength before SystemParams can check it
-    wavelength = _number(merged["wavelength"], float)
+    wavelength = _number("wavelength", merged["wavelength"], float)
     if not isinstance(wavelength, float):
         raise ValueError(f"wavelength must be a number, got {wavelength!r}")
     settings = ("energy_fraction", "power", "noise_variance")
     params = SystemParams(
         wavelength=wavelength,
-        side_count=_number(merged["side_count"], int),
-        spacing=parse_length(merged["spacing"], wavelength),
-        separation=parse_length(merged["separation"], wavelength),
-        **{name: _number(merged[name], float) for name in settings if name in merged},
+        side_count=_number("side_count", merged["side_count"], int),
+        spacing=parse_length(merged["spacing"], wavelength, "spacing"),
+        separation=parse_length(merged["separation"], wavelength, "separation"),
+        **{name: _number(name, merged[name], float) for name in settings if name in merged},
     )
     return params, merged.get("output")
 
@@ -174,7 +186,7 @@ def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
             params.n_antennas, params.wavelength, params.separation
         )
     else:
-        extent = parse_length(args.extent, params.wavelength)
+        extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     geometry = coaxial_system(

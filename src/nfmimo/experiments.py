@@ -43,8 +43,13 @@ class SweepError(RuntimeError):
 
 
 def _is_number(value) -> bool:
-    """A finite real number; bools and numeric strings are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number that fits a float; bools and numeric strings are not numbers here."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_count(value) -> bool:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, printed as a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The Fig. 5 preset sweep
-(one 625x625 decomposition per grid point) is computed once and shared.
+(74 points of two coaxial 25x25 UPAs) is computed once and shared.
 """
 
 import numpy as np

@@ -8,7 +8,8 @@ from nfmimo.channel import (
     greens,
     received_field,
 )
-from nfmimo.geometry import build_upa
+from nfmimo.beamfocus import spacing_threshold
+from nfmimo.geometry import PlanarArray, build_upa
 
 
 def make_system(side=3, spacing=0.005, wavelength=0.01, separation=0.1):
@@ -115,6 +116,79 @@ class TestBuildChannel:
         np.testing.assert_allclose(gram, gram.conj().T, rtol=1e-12)
         eigvals = np.linalg.eigvalsh(gram)
         assert eigvals.min() >= -np.finfo(float).eps * eigvals.max()
+
+
+def dense_entries(geo):
+    """Oracle: every distance by np.linalg.norm over all antenna pairs."""
+    diff = geo.rx.positions[:, None, :] - geo.tx.positions[None, :, :]
+    r = np.linalg.norm(diff, axis=2)
+    return -np.exp(1j * geo.wavenumber * r) / (4 * np.pi * r)
+
+
+@pytest.fixture
+def norm_shapes(monkeypatch):
+    """Shapes passed to np.linalg.norm; of the two assemblies only the dense one calls it."""
+    shapes = []
+    norm = np.linalg.norm
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    return shapes
+
+
+class TestGatheredAssembly:
+    """Identical coaxial grids are gathered from a kernel table, bit for bit."""
+
+    @pytest.mark.parametrize("side", range(1, 9))
+    def test_bit_identical_to_dense(self, norm_shapes, side):
+        geo = make_system(side=side, spacing=0.013 if side > 1 else 0.0, separation=3.7)
+        entries = build_channel(geo).entries
+        assert norm_shapes == []
+        assert np.array_equal(entries, dense_entries(geo))
+
+    def test_bit_identical_at_fig5_threshold(self, norm_shapes):
+        d = spacing_threshold(625, 0.01, 40.0)
+        geo = make_system(side=25, spacing=d, wavelength=0.01, separation=40.0)
+        entries = build_channel(geo).entries
+        assert norm_shapes == []
+        assert np.array_equal(entries, dense_entries(geo))
+        assert not entries.flags.writeable
+
+    TILT = np.outer(np.arange(9), (0.0, 0.0, 1e-3))
+    # (array moved, shift of its positions); side_count and spacing stay those of the grid
+    MOVED = {
+        "shifted_rx": ("rx", (0.004, -0.002, 0.0)),
+        "shifted_tx": ("tx", (0.004, 0.0, 0.0)),
+        "tilted_rx": ("rx", TILT),
+        "tilted_tx": ("tx", TILT),
+    }
+
+    @pytest.mark.parametrize("case", [*MOVED, "unequal_sides"])
+    def test_other_geometries_take_the_dense_path(self, norm_shapes, case):
+        arrays = {
+            "tx": build_upa(3, 0.006, 0.0),
+            "rx": build_upa(2 if case == "unequal_sides" else 3, 0.006, 0.15),
+        }
+        if case in self.MOVED:
+            name, shift = self.MOVED[case]
+            grid = arrays[name]
+            arrays[name] = PlanarArray(
+                side_count=grid.side_count,
+                spacing=grid.spacing,
+                plane_offset=grid.plane_offset,
+                positions=grid.positions + shift,
+            )
+        tx, rx = arrays["tx"], arrays["rx"]
+        geo = SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
+        entries = build_channel(geo).entries
+        assert norm_shapes == [(rx.size, tx.size, 3)]
+        assert np.array_equal(entries, dense_entries(geo))
+        for i, rp in enumerate(rx.positions):
+            for j, sp_ in enumerate(tx.positions):
+                assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
 
 
 class TestReceivedField:

@@ -268,6 +268,34 @@ class TestInputChecks:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ({"side_count": "abc"}, ["threshold"], "side_count must be an integer, got 'abc'"),
+            ({"wavelength": "abc"}, ["threshold"], "wavelength must be a number, got 'abc'"),
+            ({"power": "abc"}, ["report"], "power must be a number, got 'abc'"),
+            ({"wavelength": 10**400}, ["threshold"], "wavelength must be a number, got 1000"),
+            ({"spacing": True}, ["threshold"], "spacing must be a length in meters or wavelengths"),
+            ({}, ["report", "--spacing", "twelve"], "spacing must be a length in meters or wavelengths"),
+            ({}, ["gainmap", "--points", "3", "--extent", "twelve"], "--extent must be a length"),
+        ],
+        ids=[
+            "config_side_count", "config_wavelength", "config_power", "config_wavelength_overflow",
+            "config_spacing_bool", "flag_spacing", "flag_extent",
+        ],
+    )
+    def test_non_numeric_value_names_its_field(self, tmp_path, monkeypatch, capsys, config, argv, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        workdir = tmp_path / "run"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert list(workdir.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--help"])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfmimo import experiments
 from nfmimo.channel import SystemGeometry
@@ -20,6 +21,25 @@ from nfmimo.experiments import (
 from nfmimo.geometry import build_upa
 
 LAM = 0.01
+
+# what json.load can return, small; integers reach past int64 and the float range
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**63) - 1, 10**309, -(10**309)])
+    | st.floats()
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+SPEC_KEYS = st.sampled_from(
+    ["swept_variable", "grid", "wavelength", "side_count", "spacing", "separation", "energy_fraction",
+     "power", "noise_variance", "area_convention", "max_points", "preset", "notes", "bandwidth"]
+)
 
 
 def small_spec(**overrides):
@@ -69,6 +89,19 @@ class TestSweepSpec:
         data["bandwidth"] = 1.0
         with pytest.raises(ValueError):
             SweepSpec.from_dict(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(overrides=st.dictionaries(SPEC_KEYS, JSON_VALUES, max_size=4), dropped=st.sets(SPEC_KEYS, max_size=2))
+    def test_from_dict_builds_or_raises_value_error(self, overrides, dropped):
+        # any JSON-like edit of a valid spec: a spec, or a ValueError naming the fault
+        data = {**small_spec().to_dict(), **overrides}
+        for key in dropped:
+            data.pop(key, None)
+        try:
+            spec = SweepSpec.from_dict(data)
+        except ValueError:
+            return
+        assert all(spec.at(v).n_antennas >= 1 for v in spec.grid)
 
 
 class TestRunSweep:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel
-from nfmimo.geometry import build_upa
+from nfmimo.experiments import auto_power, coaxial_system, load_preset
+from nfmimo.geometry import PlanarArray, build_upa
 from nfmimo.spectrum import (
     capacity,
     count_dof,
@@ -83,6 +84,118 @@ class TestEigenSpectrum:
         right = eigen_spectrum(matrix_channel(g @ q))
         np.testing.assert_allclose(left.values, base.values, rtol=1e-10)
         np.testing.assert_allclose(right.values, base.values, rtol=1e-10)
+
+
+def preset_systems(name):
+    """Every geometry a figure preset computes: each sweep point, or the one profile."""
+    kind, payload, _ = load_preset(name)
+    if kind == "profile":
+        return [payload]
+    points = [payload.at(v) for v in payload.grid]
+    return [coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength) for p in points]
+
+
+def dense_spectrum(ch):
+    """Reference: one SVD of the whole matrix."""
+    singular = np.linalg.svd(ch.entries, compute_uv=False)
+    return spectrum_from_eigenvalues(singular**2, ch.entries.shape)
+
+
+def sweep_metrics(spec, geo):
+    """(integer metrics, float metrics) as a sweep record derives them."""
+    n = spec.source_dims[1]
+    power = auto_power(n, geo.separation, 1.0)
+    n_edof = edof_exact(spec)
+    floats = (
+        spec.total_energy,
+        edof_trace(spec),
+        capacity(spec, power, 1.0, n),
+        capacity(spec, power, 1.0, n, n_edof),
+    )
+    return (count_dof(spec), n_edof), floats
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+class TestParityBlocks:
+    """The coaxial twin-UPA symmetry splits the spectrum into parity blocks."""
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig5", "fig7", "fig8"])
+    def test_matches_dense_svd_and_hermitian_eigensolver(self, preset):
+        for geo in preset_systems(preset):
+            ch = build_channel(geo)
+            ints, floats = sweep_metrics(eigen_spectrum(ch), geo)
+            gram = ch.entries @ ch.entries.conj().T
+            oracles = (
+                dense_spectrum(ch),
+                spectrum_from_eigenvalues(np.linalg.eigvalsh(gram), ch.entries.shape),
+            )
+            for oracle in oracles:
+                ref_ints, ref_floats = sweep_metrics(oracle, geo)
+                assert ints == ref_ints
+                np.testing.assert_allclose(floats, ref_floats, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "side, blocks", [(1, [(1, 1)]), (4, [(4, 4)] * 3), (25, [(169, 169), (156, 156), (144, 144)])]
+    )
+    def test_symmetric_channel_takes_three_block_svds(self, svd_shapes, side, blocks):
+        ch = make_channel(side=side, spacing=0.1265, separation=40.0)
+        spec = eigen_spectrum(ch)
+        # a 0 x 0 block stands for an empty parity subspace (odd parity at side 1)
+        assert [s for s in svd_shapes if s != (0, 0)] == blocks
+        assert spec.values.size == side**2
+        np.testing.assert_allclose(spec.values, dense_spectrum(ch).values, rtol=0, atol=1e-13 * spec.values[0])
+
+    @pytest.mark.parametrize(
+        "entries_perturbed",
+        [
+            [(0, 3, 1, 2)],
+            # still bitwise swap-symmetric, no longer mirror-symmetric
+            [(0, 3, 1, 2), (3, 0, 2, 1)],
+            # still bitwise mirror-symmetric, no longer swap-symmetric
+            [(0, 3, 1, 2), (4, 3, 3, 2), (0, 1, 1, 2), (4, 1, 3, 2)],
+        ],
+        ids=["one_entry", "mirror_broken", "swap_broken"],
+    )
+    def test_perturbed_matrix_takes_the_dense_path(self, svd_shapes, entries_perturbed):
+        ch = make_channel(side=5)
+        t = ch.entries.reshape(5, 5, 5, 5).copy()  # t[i, k, j, l]: rx (i, k), tx (j, l)
+        for index in entries_perturbed:
+            t[index] *= 1 + 1e-15
+        perturbed = ChannelMatrix(entries=t.reshape(25, 25), geometry=ch.geometry)
+        spec = eigen_spectrum(perturbed)
+        assert svd_shapes == [(25, 25)]
+        np.testing.assert_array_equal(spec.values, dense_spectrum(perturbed).values)
+
+    def test_offaxis_and_matrix_only_channels_take_the_dense_path(self, svd_shapes):
+        tx = build_upa(4, 0.006, 0.0)
+        grid = build_upa(4, 0.006, 0.2)
+        rx = PlanarArray(
+            side_count=4, spacing=0.006, plane_offset=0.2, positions=grid.positions + (0.003, 0.0, 0.0)
+        )
+        offaxis = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
+        symmetric = matrix_channel(make_channel(side=4).entries)  # no geometry
+        for ch in (offaxis, symmetric):
+            np.testing.assert_array_equal(eigen_spectrum(ch).values, dense_spectrum(ch).values)
+        assert svd_shapes == [(16, 16)] * 4
+
+    def test_all_nan_matrix_still_fails_to_converge(self):
+        ch = make_channel(side=3)
+        nan = ChannelMatrix(entries=np.full((9, 9), np.nan, dtype=complex), geometry=ch.geometry)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen_spectrum(nan)
 
 
 class TestCountDof:
