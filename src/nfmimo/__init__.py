@@ -8,17 +8,9 @@ from .beamfocus import (
     focusing_phases,
     make_focus_setup,
     paraxial_parameter,
-    snr_at,
     spacing_threshold,
 )
-from .channel import (
-    ChannelMatrix,
-    SystemGeometry,
-    build_channel,
-    channel_to_csv,
-    greens,
-    received_field,
-)
+from .channel import ChannelMatrix, SystemGeometry, build_channel, greens
 from .experiments import (
     SweepRecord,
     SweepSpec,
@@ -29,7 +21,7 @@ from .experiments import (
     run_sweep,
     validate_closed_form,
 )
-from .geometry import PlanarArray, build_upa, relative_coordinate
+from .geometry import PlanarArray, build_upa
 from .spectrum import (
     EdofReport,
     EigenSpectrum,
@@ -59,7 +51,6 @@ __all__ = [
     "build_channel",
     "build_upa",
     "capacity",
-    "channel_to_csv",
     "coaxial_system",
     "count_dof",
     "edof_exact",
@@ -74,10 +65,7 @@ __all__ = [
     "paraxial_parameter",
     "plane_area",
     "point_metrics",
-    "received_field",
-    "relative_coordinate",
     "run_sweep",
-    "snr_at",
     "spacing_threshold",
     "validate_closed_form",
 ]

@@ -153,23 +153,6 @@ def paraxial_parameter(
     return side * spacing**2 / (wavelength * separation)
 
 
-def snr_at(
-    setup: FocusSetup,
-    probe_point,
-    total_power: float,
-    noise_variance: float,
-    mode: GainMode = GainMode.PHASE_ONLY,
-) -> float:
-    """Received SNR (P / sigma_n^2) rho / (4 pi L)^2 at a probe point."""
-    if total_power < 0:
-        raise ValueError(f"total_power must be >= 0, got {total_power}")
-    if noise_variance <= 0:
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    rho = array_gain(setup, probe_point, mode)
-    length = setup.geometry.separation
-    return total_power / noise_variance * rho / (4 * np.pi * length) ** 2
-
-
 def gain_map(setup: FocusSetup, probe_xy, mode: GainMode = GainMode.PHASE_ONLY):
     """Evaluate the gain at (x, y) probes on the receive plane.
 

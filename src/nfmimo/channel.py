@@ -5,14 +5,19 @@ at r_R is -exp(ik|r_R - r_S|) / (4 pi |r_R - r_S|), evaluated with the exact
 distance. No amplitude or phase approximation is applied here; approximate
 propagation models live in `beamfocus` behind explicit mode labels.
 
-When the positions show that transmitter and receiver are one square grid
-(antenna (n, m) at (c[n], c[m]) on both) in two planes of constant z, the
-distance depends only on the squared 1-D offsets (c[n] - c[n'])^2 and
-(c[m] - c[m'])^2. `build_channel` then evaluates the kernel once per distinct
-pair of them and gathers the matrix; the distance is rounded as the dense
-assembly rounds it, so the entries are bit-identical. Any other geometry,
-such as a shifted or rescaled receiver or unequal arrays, takes the dense
-per-pair assembly, which is also the reference in the tests.
+Whether a channel has the coaxial twin-grid structure is decided once, here,
+from the positions. When transmitter and receiver are one square grid
+(antenna (n, m) at (c[n], c[m]) on both) centred bit for bit (c == -c[::-1])
+in two planes of constant z, the distance depends only on the squared 1-D
+offsets (c[n] - c[n'])^2 and (c[m] - c[m'])^2. `build_channel` then evaluates
+the kernel once per distinct pair of them and gathers the matrix; the
+distance is rounded as the dense assembly rounds it, so the entries are
+bit-identical. Centring makes each offset's mirror image its exact negative,
+so the gathered matrix is bitwise unchanged by the x-mirror, the y-mirror and
+the x<->y swap, and `ChannelMatrix.grid` records c for `eigen_spectrum`. Any
+other geometry, such as a shifted or rescaled receiver or unequal arrays,
+takes the dense per-pair assembly, which is also the reference in the tests,
+and leaves `grid` unset.
 """
 
 from __future__ import annotations
@@ -53,10 +58,16 @@ class SystemGeometry:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex (N_R, N_S) matrix of Green's-function coefficients."""
+    """Complex (N_R, N_S) matrix of Green's-function coefficients.
+
+    `grid` holds the 1-D coordinates c of the coaxial twin grid when
+    `build_channel` gathered the matrix from it, which makes the matrix
+    bitwise mirror- and swap-symmetric; it is None otherwise.
+    """
 
     entries: np.ndarray
     geometry: SystemGeometry
+    grid: np.ndarray | None = None
 
     @property
     def n_rx(self) -> int:
@@ -89,8 +100,9 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
 
 
 def _shared_grid(geometry: SystemGeometry) -> np.ndarray | None:
-    """The 1-D coordinates c when both arrays put antenna (n, m) at (c[n], c[m])
-    and each lies in a plane of constant z; None otherwise."""
+    """The 1-D coordinates c when both arrays put antenna (n, m) at (c[n], c[m]),
+    c == -c[::-1] bit for bit and each array lies in a plane of constant z;
+    None otherwise."""
     tx, rx = geometry.tx.positions, geometry.rx.positions
     side = math.isqrt(len(tx))
     if side == 0 or side * side != len(tx) or tx.shape != rx.shape:
@@ -100,7 +112,8 @@ def _shared_grid(geometry: SystemGeometry) -> np.ndarray | None:
     grid = np.column_stack([x.ravel(), y.ravel()])
     same_grid = np.array_equal(tx[:, :2], grid) and np.array_equal(rx[:, :2], grid)
     planar = (tx[:, 2] == tx[0, 2]).all() and (rx[:, 2] == rx[0, 2]).all()
-    return c if same_grid and planar else None
+    centred = np.array_equal(c, -c[::-1])
+    return c if same_grid and planar and centred else None
 
 
 def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
@@ -130,20 +143,4 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         index = index.reshape(side, side)
         entries = table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
     entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, geometry=geometry)
-
-
-def received_field(channel: ChannelMatrix, sources) -> np.ndarray:
-    """Noiseless received field G @ s for source amplitudes s."""
-    s = np.asarray(sources, dtype=complex)
-    if s.shape != (channel.n_tx,):
-        raise ValueError(f"expected {channel.n_tx} source amplitudes, got shape {s.shape}")
-    return channel.entries @ s
-
-
-def channel_to_csv(channel: ChannelMatrix, path) -> None:
-    """Export entries as CSV, one row per receive antenna, `re+imj` cells."""
-    with open(path, "w", newline="") as fh:
-        for row in channel.entries:
-            fh.write(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")
+    return ChannelMatrix(entries=entries, geometry=geometry, grid=c)

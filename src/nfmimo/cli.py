@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -162,7 +163,7 @@ def cmd_sweep(args) -> int:
         kind = "sweep"
         payload = experiments.SweepSpec.from_dict(data)
         notes = data.get("notes")
-        stem = target.rsplit(".", 1)[0]
+        stem = os.path.splitext(target)[0]
         default_output = f"{stem}.out.csv"
     output = args.output or default_output
 

@@ -12,19 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def relative_coordinate(index: int, side_count: int, spacing: float) -> float:
-    """Signed offset of grid index `index` (1-based) from the array center.
-
-    Antisymmetric about the center: index n and side_count + 1 - n map to
-    coordinates of opposite sign.
-    """
-    if side_count < 1:
-        raise ValueError(f"side_count must be >= 1, got {side_count}")
-    if not 1 <= index <= side_count:
-        raise ValueError(f"index {index} out of range [1, {side_count}]")
-    return (index - (side_count + 1) / 2) * spacing
-
-
 @dataclass(frozen=True)
 class PlanarArray:
     """Square uniform planar array of point antennas.

@@ -9,13 +9,14 @@ trace ratio tr^2(GG^H) / ||GG^H||_F^2.
 
 Two identical coaxial square UPAs give a channel that, viewed as
 t[i, k, j, l] (row antenna (i, k), column antenna (j, l)), is unchanged by
-the x-mirror, the y-mirror and the x<->y swap of both arrays. When the
-matrix of a channel with a geometry has that symmetry bit for bit,
-`eigen_spectrum` folds it onto the even/odd mirror-parity subspaces: four
-blocks (169, 156, 156 and 144 rows at 25 x 25), of which the two mixed ones
-have one spectrum by the swap, so three small SVDs replace one large one.
-Every other matrix (off-axis, rectangular, perturbed, or without a geometry)
-takes the dense SVD, which is also the reference in the tests.
+the x-mirror, the y-mirror and the x<->y swap of both arrays. That structure
+is decided once, from the positions, in `channel.build_channel`, which sets
+`ChannelMatrix.grid` only for a matrix it gathered with that symmetry bit for
+bit. `eigen_spectrum` then folds it onto the even/odd mirror-parity
+subspaces: four blocks (169, 156, 156 and 144 rows at 25 x 25), of which the
+two mixed ones have one spectrum by the swap, so three small SVDs replace
+one large one. Every other channel (off-axis, rectangular, or built by hand
+from a matrix) takes the dense SVD, which is also the reference in the tests.
 """
 
 from __future__ import annotations
@@ -107,19 +108,12 @@ def _fold(t: np.ndarray, even: bool) -> np.ndarray:
     return folded
 
 
-def _parity_blocks(entries: np.ndarray) -> list[np.ndarray] | None:
-    """The even-even, even-odd and odd-odd parity blocks of a square S^2 x S^2
-    matrix that is bitwise invariant under the x-mirror, the y-mirror and the
-    x<->y swap; None for any other matrix. The odd-even block is the even-odd
-    one with x and y swapped, so it has the same singular values."""
-    n = entries.shape[0]
-    side = math.isqrt(n)
-    if entries.shape != (n, n) or side * side != n:
-        return None
+def _parity_blocks(entries: np.ndarray, side: int) -> list[np.ndarray]:
+    """The even-even, even-odd and odd-odd parity blocks of an S^2 x S^2 matrix
+    (S = side) that is invariant under the x-mirror, the y-mirror and the
+    x<->y swap. The odd-even block is the even-odd one with x and y swapped,
+    so it has the same singular values."""
     t = entries.reshape(side, side, side, side)
-    # the x-mirror is the y-mirror conjugated by the swap, so two checks cover all three
-    if not (np.array_equal(t, t.transpose(1, 0, 3, 2)) and np.array_equal(t, t[:, ::-1, :, ::-1])):
-        return None
     blocks = []
     for even_x, even_y in ((True, True), (True, False), (False, False)):
         # folding x, then y with the axes swapped, permutes rows and columns alike
@@ -132,16 +126,16 @@ def _parity_blocks(entries: np.ndarray) -> list[np.ndarray] | None:
 def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     """Spectrum of G G^H, computed as squared singular values of G.
 
-    A channel with the coaxial twin-UPA symmetry is decomposed by parity
-    block; any other takes one dense SVD.
+    A channel that `build_channel` gathered from a coaxial twin grid is
+    decomposed by parity block; any other takes one dense SVD.
     """
     if channel.entries.size == 0:
         raise ValueError("empty channel matrix")
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
-    blocks = _parity_blocks(channel.entries) if channel.geometry is not None else None
-    if blocks is None:
+    if channel.grid is None:
         singular = np.linalg.svd(channel.entries, compute_uv=False)
     else:
+        blocks = _parity_blocks(channel.entries, channel.grid.size)
         even, mixed, odd = (np.linalg.svd(b, compute_uv=False) for b in blocks)
         singular = np.concatenate([even, mixed, mixed, odd])
     return spectrum_from_eigenvalues(singular**2, (channel.n_rx, channel.n_tx))

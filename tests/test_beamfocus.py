@@ -9,7 +9,6 @@ from nfmimo.beamfocus import (
     gain_map,
     make_focus_setup,
     paraxial_parameter,
-    snr_at,
     spacing_threshold,
     wrap_phase,
     write_gain_map_csv,
@@ -201,24 +200,6 @@ class TestParaxialParameter:
         lam, side = 0.01, 20
         sep = side * (3.2 * lam) ** 2 / lam
         assert paraxial_parameter(side**2, 3.2 * lam, lam, sep) == pytest.approx(1.0, rel=1e-12)
-
-
-class TestSnr:
-    def test_zero_power(self):
-        setup = make_focus_setup(make_system(side=3, spacing=0.02))
-        assert snr_at(setup, (0, 0, SEP), 0.0, 1.0) == 0.0
-
-    def test_focused_snr_formula(self):
-        setup = make_focus_setup(make_system(side=5, spacing=0.02))
-        got = snr_at(setup, (0, 0, SEP), 2.0, 0.5)
-        assert got == pytest.approx(2.0 / 0.5 * 25 / (4 * np.pi * SEP) ** 2, rel=1e-9)
-
-    def test_threshold_null_relative_to_focus(self):
-        d = spacing_threshold(625, LAM, SEP)
-        setup = make_focus_setup(make_system(side=25, spacing=d))
-        focused = snr_at(setup, (0, 0, SEP), 1.0, 1.0)
-        nulled = snr_at(setup, (d, 0, SEP), 1.0, 1.0)
-        assert nulled / focused < 0.02
 
 
 class TestGainMap:

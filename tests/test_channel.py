@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from nfmimo.channel import (
-    SystemGeometry,
-    build_channel,
-    channel_to_csv,
-    greens,
-    received_field,
-)
+from nfmimo.channel import SystemGeometry, build_channel, greens
 from nfmimo.beamfocus import spacing_threshold
 from nfmimo.geometry import PlanarArray, build_upa
 
@@ -157,13 +152,34 @@ class TestGatheredAssembly:
         assert np.array_equal(entries, dense_entries(geo))
         assert not entries.flags.writeable
 
+    @given(
+        side=st.integers(min_value=1, max_value=12),
+        spacing=st.floats(min_value=1e-4, max_value=10.0),
+        separation=st.floats(min_value=1e-2, max_value=1e3),
+        wavelength=st.floats(min_value=1e-3, max_value=1.0),
+        plane_offset=st.floats(min_value=-100.0, max_value=100.0).filter(bool),
+    )
+    def test_gathered_matrix_is_mirror_and_swap_symmetric(
+        self, side, spacing, separation, wavelength, plane_offset
+    ):
+        tx = build_upa(side, spacing, plane_offset)
+        rx = build_upa(side, spacing, plane_offset + separation)
+        ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=wavelength))
+        assert ch.grid is not None
+        # t[i, k, j, l]: rx antenna (i, k), tx antenna (j, l)
+        t = ch.entries.reshape(side, side, side, side)
+        assert np.array_equal(t, t.transpose(1, 0, 3, 2))
+        assert np.array_equal(t, t[:, ::-1, :, ::-1])
+
     TILT = np.outer(np.arange(9), (0.0, 0.0, 1e-3))
-    # (array moved, shift of its positions); side_count and spacing stay those of the grid
+    # (arrays moved, shift of their positions); side_count and spacing stay those of the grid
     MOVED = {
-        "shifted_rx": ("rx", (0.004, -0.002, 0.0)),
-        "shifted_tx": ("tx", (0.004, 0.0, 0.0)),
-        "tilted_rx": ("rx", TILT),
-        "tilted_tx": ("tx", TILT),
+        "shifted_rx": (("rx",), (0.004, -0.002, 0.0)),
+        "shifted_tx": (("tx",), (0.004, 0.0, 0.0)),
+        # still one shared grid, but no longer centred
+        "shifted_both": (("tx", "rx"), (0.004, 0.004, 0.0)),
+        "tilted_rx": (("rx",), TILT),
+        "tilted_tx": (("tx",), TILT),
     }
 
     @pytest.mark.parametrize("case", [*MOVED, "unequal_sides"])
@@ -172,8 +188,8 @@ class TestGatheredAssembly:
             "tx": build_upa(3, 0.006, 0.0),
             "rx": build_upa(2 if case == "unequal_sides" else 3, 0.006, 0.15),
         }
-        if case in self.MOVED:
-            name, shift = self.MOVED[case]
+        names, shift = self.MOVED.get(case, ((), None))
+        for name in names:
             grid = arrays[name]
             arrays[name] = PlanarArray(
                 side_count=grid.side_count,
@@ -183,47 +199,12 @@ class TestGatheredAssembly:
             )
         tx, rx = arrays["tx"], arrays["rx"]
         geo = SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
-        entries = build_channel(geo).entries
+        ch = build_channel(geo)
+        entries = ch.entries
         assert norm_shapes == [(rx.size, tx.size, 3)]
+        assert ch.grid is None
         assert np.array_equal(entries, dense_entries(geo))
         for i, rp in enumerate(rx.positions):
             for j, sp_ in enumerate(tx.positions):
                 assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
 
-
-class TestReceivedField:
-    def test_zero_sources(self):
-        ch = build_channel(make_system(side=2))
-        np.testing.assert_array_equal(received_field(ch, np.zeros(4)), np.zeros(4))
-
-    def test_single_source_selects_column(self):
-        tx = build_upa(1, 0.0, 0.0)
-        rx = build_upa(3, 0.004, 0.2)
-        ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
-        np.testing.assert_allclose(received_field(ch, [1.0]), ch.entries[:, 0])
-
-    def test_matches_elementwise_superposition(self):
-        # oracle: explicit double loop over antenna pairs
-        ch = build_channel(make_system(side=3))
-        rng = np.random.default_rng(11)
-        s = rng.normal(size=9) + 1j * rng.normal(size=9)
-        field = received_field(ch, s)
-        for i in range(9):
-            expected = sum(ch.entries[i, j] * s[j] for j in range(9))
-            assert field[i] == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        ch = build_channel(make_system(side=2))
-        with pytest.raises(ValueError):
-            received_field(ch, np.ones(5))
-
-
-class TestCsvExport:
-    def test_roundtrip(self, tmp_path):
-        ch = build_channel(make_system(side=2))
-        path = tmp_path / "channel.csv"
-        channel_to_csv(ch, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 4
-        parsed = np.array([[complex(cell) for cell in line.split(",")] for line in lines])
-        np.testing.assert_allclose(parsed, ch.entries, rtol=1e-16)

@@ -158,6 +158,37 @@ class TestSweep:
         capsys.readouterr()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec_path, default_output",
+        [
+            ("spec.json", "spec.out.csv"),
+            ("runs/v1.2/spec", "runs/v1.2/spec.out.csv"),
+            ("./spec", "spec.out.csv"),
+        ],
+        ids=["extension", "dotted_directory", "dot_slash"],
+    )
+    def test_default_output_drops_only_the_file_extension(
+        self, tmp_path, monkeypatch, capsys, spec_path, default_output
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec_file = tmp_path / spec_path
+        spec_file.parent.mkdir(parents=True, exist_ok=True)
+        spec_file.write_text(
+            json.dumps(
+                {
+                    "swept_variable": "spacing",
+                    "grid": [0.005],
+                    "wavelength": 0.01,
+                    "side_count": 2,
+                    "separation": 1.0,
+                }
+            )
+        )
+        assert main(["sweep", spec_path]) == EXIT_OK
+        capsys.readouterr()
+        written = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv")]
+        assert written == [default_output]
+
     def test_unknown_preset(self, capsys):
         assert main(["sweep", "fig4"]) == EXIT_VALIDATION
         capsys.readouterr()

@@ -2,34 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nfmimo.geometry import PlanarArray, build_upa, relative_coordinate
-
-
-class TestRelativeCoordinate:
-    def test_center_index_of_odd_side(self):
-        assert relative_coordinate(3, 5, 1.0) == 0.0
-
-    def test_first_index_of_25_side(self):
-        # oracle: (1 - 13) * 0.1
-        assert relative_coordinate(1, 25, 0.1) == pytest.approx(-1.2)
-
-    @given(
-        st.integers(min_value=1, max_value=50),
-        st.integers(min_value=1, max_value=50),
-        st.floats(min_value=1e-4, max_value=10.0),
-    )
-    def test_mirror_antisymmetry(self, index, side, spacing):
-        if index > side:
-            index = side
-        left = relative_coordinate(index, side, spacing)
-        right = relative_coordinate(side + 1 - index, side, spacing)
-        assert left == pytest.approx(-right, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            relative_coordinate(0, 5, 1.0)
-        with pytest.raises(ValueError):
-            relative_coordinate(6, 5, 1.0)
+from nfmimo.geometry import PlanarArray, build_upa
 
 
 class TestBuildUpa:
@@ -52,13 +25,23 @@ class TestBuildUpa:
         assert arr.positions[:, 0].max() == pytest.approx(1.518)
 
     def test_row_major_ordering(self):
-        arr = build_upa(3, 1.0, 0.0)
+        side, spacing = 3, 1.0
+        arr = build_upa(side, spacing, 0.0)
         # antenna (n, m) at flat index (n-1)*3 + (m-1)
         for n in range(1, 4):
             for m in range(1, 4):
                 pos = arr.positions[(n - 1) * 3 + (m - 1)]
-                assert pos[0] == pytest.approx(relative_coordinate(n, 3, 1.0))
-                assert pos[1] == pytest.approx(relative_coordinate(m, 3, 1.0))
+                assert pos[0] == pytest.approx((n - (side + 1) / 2) * spacing)
+                assert pos[1] == pytest.approx((m - (side + 1) / 2) * spacing)
+
+    @given(
+        st.integers(min_value=1, max_value=50),
+        st.floats(min_value=1e-4, max_value=10.0),
+    )
+    def test_mirror_antisymmetry(self, side, spacing):
+        # bitwise: build_channel takes its gathered path only for a centred grid
+        c = build_upa(side, spacing, 0.0).positions[:side, 1]
+        assert np.array_equal(c, -c[::-1])
 
     @pytest.mark.parametrize("side", [1, 2, 5, 8, 25])
     def test_centering(self, side):

@@ -186,10 +186,18 @@ class TestParityBlocks:
             side_count=4, spacing=0.006, plane_offset=0.2, positions=grid.positions + (0.003, 0.0, 0.0)
         )
         offaxis = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
+        # both arrays moved by one lateral offset: still one grid, but not centred
+        tx_moved, rx_moved = (
+            PlanarArray(
+                side_count=4, spacing=0.006, plane_offset=a.plane_offset, positions=a.positions + (0.004, 0.004, 0.0)
+            )
+            for a in (tx, grid)
+        )
+        shifted = build_channel(SystemGeometry(tx=tx_moved, rx=rx_moved, wavelength=0.01))
         symmetric = matrix_channel(make_channel(side=4).entries)  # no geometry
-        for ch in (offaxis, symmetric):
+        for ch in (offaxis, shifted, symmetric):
             np.testing.assert_array_equal(eigen_spectrum(ch).values, dense_spectrum(ch).values)
-        assert svd_shapes == [(16, 16)] * 4
+        assert svd_shapes == [(16, 16)] * 6
 
     def test_all_nan_matrix_still_fails_to_converge(self):
         ch = make_channel(side=3)
