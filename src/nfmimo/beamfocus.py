@@ -55,11 +55,9 @@ def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
     return wrap_phase(-geometry.wavenumber * dist)
 
 
-def make_focus_setup(geometry: SystemGeometry, focus_point=None) -> FocusSetup:
-    """Build a FocusSetup; the default focus is the receive-plane center (0, 0, L)."""
-    if focus_point is None:
-        focus_point = (0.0, 0.0, geometry.rx.plane_offset)
-    fp = np.asarray(focus_point, dtype=float).copy()
+def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
+    """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
+    fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
     phases = focusing_phases(geometry, fp)
     fp.setflags(write=False)
     phases.setflags(write=False)

@@ -66,16 +66,7 @@ class ChannelMatrix:
     """
 
     entries: np.ndarray
-    geometry: SystemGeometry
     grid: np.ndarray | None = None
-
-    @property
-    def n_rx(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.entries.shape[1]
 
 
 def greens(receive_point, source_point, wavelength: float) -> complex:
@@ -143,4 +134,4 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         index = index.reshape(side, side)
         entries = table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
     entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, geometry=geometry, grid=c)
+    return ChannelMatrix(entries=entries, grid=c)

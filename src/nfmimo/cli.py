@@ -46,17 +46,18 @@ def parse_length(text, wavelength: float, name: str = "length") -> float:
         ) from None
 
 
-# Each config field as a flag (dest -> argparse keywords). A subcommand takes
-# the flags it reads; the JSON config file takes all, so one file serves all.
+# Each config field as a flag (dest -> help text). A subcommand takes the
+# flags it reads; the JSON config file takes all, so one file serves all.
+# Flag values arrive as strings and convert in load_config, as config strings do.
 FLAGS = {
-    "wavelength": {"type": float, "help": "carrier wavelength in meters"},
-    "side_count": {"type": int, "help": "antennas per side"},
-    "spacing": {"help": "antenna spacing (meters or e.g. 0.5lambda)"},
-    "separation": {"help": "plane separation (meters or e.g. 4000lambda)"},
-    "energy_fraction": {"type": float},
-    "power": {"type": float, "help": "total transmit power"},
-    "noise_variance": {"type": float},
-    "output": {"help": "output file path"},
+    "wavelength": "carrier wavelength in meters",
+    "side_count": "antennas per side",
+    "spacing": "antenna spacing (meters or e.g. 0.5lambda)",
+    "separation": "plane separation (meters or e.g. 4000lambda)",
+    "energy_fraction": None,
+    "power": "total transmit power",
+    "noise_variance": None,
+    "output": "output file path",
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
 
@@ -99,6 +100,9 @@ def load_config(args) -> tuple[SystemParams, str | None]:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
+    output = merged.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"output must be a path string, got {output!r}")
 
     # lengths in lambda need the wavelength before SystemParams can check it
     wavelength = _number("wavelength", merged["wavelength"], float)
@@ -112,7 +116,7 @@ def load_config(args) -> tuple[SystemParams, str | None]:
         separation=parse_length(merged["separation"], wavelength, "separation"),
         **{name: _number(name, merged[name], float) for name in settings if name in merged},
     )
-    return params, merged.get("output")
+    return params, output
 
 
 def cmd_threshold(params: SystemParams) -> int:
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
         for dest in flags:
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **FLAGS[dest])
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest])
         return p
 
     add_parser("threshold", "print the optimal spacing threshold", SYSTEM_FLAGS)

@@ -298,7 +298,7 @@ def validate_closed_form(n_side_values, spacing_grid, wavelength, separation) ->
     }
 
 
-def write_sweep_csv(records, path, spec: SweepSpec | None = None, notes=None) -> None:
+def write_sweep_csv(records, path, spec: SweepSpec, notes=None) -> None:
     """Write records as CSV (17 significant digits) plus a JSON sidecar.
 
     The sidecar at <path>.spec.json holds the resolved spec; feeding it back
@@ -314,13 +314,12 @@ def write_sweep_csv(records, path, spec: SweepSpec | None = None, notes=None) ->
         fh.write(",".join(RECORD_FIELDS) + "\n")
         for rec in records:
             fh.write(",".join(fmt(v) for v in rec.as_row()) + "\n")
-    if spec is not None:
-        sidecar = spec.to_dict()
-        if notes:
-            sidecar["notes"] = notes
-        with open(str(path) + ".spec.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    sidecar = spec.to_dict()
+    if notes:
+        sidecar["notes"] = notes
+    with open(str(path) + ".spec.json", "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_profile_csv(profile, path) -> None:

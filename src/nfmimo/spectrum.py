@@ -138,7 +138,7 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
         blocks = _parity_blocks(channel.entries, channel.grid.size)
         even, mixed, odd = (np.linalg.svd(b, compute_uv=False) for b in blocks)
         singular = np.concatenate([even, mixed, mixed, odd])
-    return spectrum_from_eigenvalues(singular**2, (channel.n_rx, channel.n_tx))
+    return spectrum_from_eigenvalues(singular**2, channel.entries.shape)
 
 
 def count_dof(spectrum: EigenSpectrum, relative_floor: float = DEFAULT_DOF_FLOOR) -> int:
@@ -234,10 +234,9 @@ def edof_report(
     wavelength: float,
     separation: float,
     fraction: float = DEFAULT_ENERGY_FRACTION,
-    relative_floor: float = DEFAULT_DOF_FLOOR,
 ) -> EdofReport:
     return EdofReport(
-        n_dof=count_dof(spectrum, relative_floor),
+        n_dof=count_dof(spectrum),
         n_edof_exact=edof_exact(spectrum, fraction),
         n_edof_fringes=edof_fringes(area_tx, area_rx, wavelength, separation),
         n_edof_trace=edof_trace(spectrum),

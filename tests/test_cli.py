@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nfmimo
 from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_length
 from nfmimo.experiments import SweepSpec, run_sweep
 
@@ -309,10 +314,12 @@ class TestInputChecks:
             ({"spacing": True}, ["threshold"], "spacing must be a length in meters or wavelengths"),
             ({}, ["report", "--spacing", "twelve"], "spacing must be a length in meters or wavelengths"),
             ({}, ["gainmap", "--points", "3", "--extent", "twelve"], "--extent must be a length"),
+            ({}, ["report", "--side-count", "abc"], "side_count must be an integer, got 'abc'"),
+            ({}, ["threshold", "--wavelength", "x"], "wavelength must be a number, got 'x'"),
         ],
         ids=[
             "config_side_count", "config_wavelength", "config_power", "config_wavelength_overflow",
-            "config_spacing_bool", "flag_spacing", "flag_extent",
+            "config_spacing_bool", "flag_spacing", "flag_extent", "flag_side_count", "flag_wavelength",
         ],
     )
     def test_non_numeric_value_names_its_field(self, tmp_path, monkeypatch, capsys, config, argv, message):
@@ -325,6 +332,40 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "subcommand, output",
+        [
+            ("report", 2),
+            ("report", True),
+            ("report", {"a": 1}),
+            ("report", [1]),
+            ("report", 1.5),
+            ("threshold", 2),
+            ("gainmap", [1]),
+            ("validate", True),
+        ],
+        ids=[
+            "report_int", "report_bool", "report_object", "report_list", "report_float",
+            "threshold_int", "gainmap_list", "validate_bool",
+        ],
+    )
+    def test_config_output_must_be_a_path_string(self, tmp_path, subcommand, output):
+        # in a child process: an int or bool output would be opened as a file
+        # descriptor of the process that runs the command, and closed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": output}))
+        workdir = tmp_path / "run"
+        workdir.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nfmimo.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "nfmimo.cli", subcommand, "--config", str(cfg), "--side-count", "2"],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_VALIDATION
+        assert run.stdout == ""
+        assert run.stderr == f"error: output must be a path string, got {output!r}\n"
         assert list(workdir.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):

@@ -25,7 +25,7 @@ def make_channel(side=3, spacing=0.005, wavelength=0.01, separation=0.1):
 
 def matrix_channel(entries):
     """Wrap a raw matrix so spectrum operations can run on synthetic inputs."""
-    return ChannelMatrix(entries=np.asarray(entries, dtype=complex), geometry=None)
+    return ChannelMatrix(entries=np.asarray(entries, dtype=complex))
 
 
 def synthetic(values, dims=None):
@@ -174,7 +174,7 @@ class TestParityBlocks:
         t = ch.entries.reshape(5, 5, 5, 5).copy()  # t[i, k, j, l]: rx (i, k), tx (j, l)
         for index in entries_perturbed:
             t[index] *= 1 + 1e-15
-        perturbed = ChannelMatrix(entries=t.reshape(25, 25), geometry=ch.geometry)
+        perturbed = ChannelMatrix(entries=t.reshape(25, 25))
         spec = eigen_spectrum(perturbed)
         assert svd_shapes == [(25, 25)]
         np.testing.assert_array_equal(spec.values, dense_spectrum(perturbed).values)
@@ -200,8 +200,7 @@ class TestParityBlocks:
         assert svd_shapes == [(16, 16)] * 6
 
     def test_all_nan_matrix_still_fails_to_converge(self):
-        ch = make_channel(side=3)
-        nan = ChannelMatrix(entries=np.full((9, 9), np.nan, dtype=complex), geometry=ch.geometry)
+        nan = ChannelMatrix(entries=np.full((9, 9), np.nan, dtype=complex))
         with pytest.raises(np.linalg.LinAlgError):
             eigen_spectrum(nan)
 
