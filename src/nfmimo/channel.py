@@ -13,11 +13,12 @@ offsets (c[n] - c[n'])^2 and (c[m] - c[m'])^2. `build_channel` then evaluates
 the kernel once per distinct pair of them and gathers the matrix; the
 distance is rounded as the dense assembly rounds it, so the entries are
 bit-identical. Centring makes each offset's mirror image its exact negative,
-so the gathered matrix is bitwise unchanged by the x-mirror, the y-mirror and
-the x<->y swap, and `ChannelMatrix.grid` records c for `eigen_spectrum`. Any
-other geometry, such as a shifted or rescaled receiver or unequal arrays,
-takes the dense per-pair assembly, which is also the reference in the tests,
-and leaves `grid` unset.
+so the matrix is unchanged by the x-mirror, the y-mirror and the x<->y swap,
+hence block-diagonal in the even/odd mirror-parity basis: `build_channel`
+folds the kernel table onto the even-even, even-odd and odd-odd blocks (the
+odd-even one is the even-odd one with x and y swapped, so it counts twice).
+Any other geometry, such as a shifted or rescaled receiver or unequal arrays,
+takes the dense per-pair assembly, the reference in the tests, and no blocks.
 """
 
 from __future__ import annotations
@@ -58,15 +59,17 @@ class SystemGeometry:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex (N_R, N_S) matrix of Green's-function coefficients.
-
-    `grid` holds the 1-D coordinates c of the coaxial twin grid when
-    `build_channel` gathered the matrix from it, which makes the matrix
-    bitwise mirror- and swap-symmetric; it is None otherwise.
-    """
+    """Complex (N_R, N_S) matrix of Green's-function coefficients, plus (block,
+    multiplicity) pairs whose singular values, each repeated `multiplicity`
+    times, are those of `entries`; empty when none are known."""
 
     entries: np.ndarray
-    grid: np.ndarray | None = None
+    blocks: tuple[tuple[np.ndarray, int], ...] = ()
+
+    def __post_init__(self):
+        spans = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
+        if self.blocks and spans != self.entries.shape:
+            raise ValueError(f"blocks span {spans}, but the entries are {self.entries.shape}")
 
 
 def greens(receive_point, source_point, wavelength: float) -> complex:
@@ -113,6 +116,37 @@ def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
     return -np.exp(1j * wavenumber * r) / (4 * np.pi * r)
 
 
+def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
+    """Fold values[..., index[n, n']] onto the mirror-even or mirror-odd subspace
+    of (n, n'), over the half grid; `index` must be unchanged by reversing both axes.
+
+    The basis vectors are (e_a +- e_{S-1-a}) / sqrt(2), and e_c alone for the centre c
+    of an odd side S, so the even part's centre row and column carry an extra 1 / sqrt(2).
+    """
+    side = index.shape[0]
+    half = (side + 1) // 2 if even else side // 2
+    head, mirrored = values[..., index[:half, :half]], values[..., index[:half, ::-1][:, :half]]
+    folded = head + mirrored if even else head - mirrored
+    if even and side % 2:
+        folded[..., -1, :] *= 1 / math.sqrt(2)
+        folded[..., -1] *= 1 / math.sqrt(2)
+    return folded
+
+
+def _parity_blocks(table: np.ndarray, index: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
+    """The even-even, even-odd and odd-odd parity blocks, with multiplicities, of the
+    matrix whose entry for rx (i, k) and tx (j, l) is table[index[i, j], index[k, l]]."""
+    blocks = []
+    for even_x, even_y, multiplicity in ((True, True, 1), (True, False, 2), (False, False, 1)):
+        # the x-fold is [y offset, i, j], then the y-fold [i, j, k, l]
+        folded = _fold(_fold(table.T, index, even_x).transpose(1, 2, 0), index, even_y)
+        rows = folded.shape[0] * folded.shape[2]
+        block = folded.transpose(2, 0, 3, 1).reshape(rows, rows)  # rows (k, i), columns (l, j)
+        block.setflags(write=False)
+        blocks.append((block, multiplicity))
+    return tuple(blocks)
+
+
 def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     """Assemble the exact Green's-function channel matrix.
 
@@ -123,6 +157,7 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     if c is None:
         diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
         entries = _kernel(np.linalg.norm(diff, axis=2), geometry.wavenumber)
+        blocks = ()
     else:
         # r = sqrt((dx^2 + dy^2) + dz^2), summed in np.linalg.norm's order
         offsets = c[:, None] - c[None, :]
@@ -133,5 +168,6 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         side = c.size
         index = index.reshape(side, side)
         entries = table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
+        blocks = _parity_blocks(table, index)
     entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, grid=c)
+    return ChannelMatrix(entries=entries, blocks=blocks)

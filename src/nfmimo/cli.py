@@ -119,6 +119,13 @@ def load_config(args) -> tuple[SystemParams, str | None]:
     return params, output
 
 
+def _check_outputs(*paths) -> None:
+    """Open each output path given for append, which creates a missing file and
+    truncates none, so an unwritable path fails before any work."""
+    for path in filter(None, paths):
+        open(path, "a").close()
+
+
 def cmd_threshold(params: SystemParams) -> int:
     d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     eps = beamfocus.paraxial_parameter(
@@ -136,6 +143,7 @@ REPORT_FIELDS = (
 
 
 def cmd_report(params: SystemParams, as_json: bool, output: str | None) -> int:
+    _check_outputs(output)
     record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
@@ -172,11 +180,13 @@ def cmd_sweep(args) -> int:
     output = args.output or default_output
 
     if kind == "profile":
+        _check_outputs(output)
         profile = experiments.eigen_profile(payload)
         experiments.write_profile_csv(profile, output)
         print(f"wrote {len(profile)} eigenvalues to {output}")
         return EXIT_OK
 
+    _check_outputs(output, f"{output}.spec.json")
     records = experiments.run_sweep(payload)
     experiments.write_sweep_csv(records, output, spec=payload, notes=notes)
     print(f"wrote {len(records)} records to {output} (+ sidecar {output}.spec.json)")
@@ -194,6 +204,8 @@ def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
         extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
+    output = output or "gainmap.csv"
+    _check_outputs(output)
     geometry = coaxial_system(
         params.side_count, params.spacing, params.separation, params.wavelength
     )
@@ -201,7 +213,6 @@ def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
     coords = np.linspace(-extent, extent, args.points)
     probes = [(x, y) for x in coords for y in coords]
     rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
-    output = output or "gainmap.csv"
     beamfocus.write_gain_map_csv(rows, output)
     print(f"wrote {len(rows)} probes to {output}")
     return EXIT_OK

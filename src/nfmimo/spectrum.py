@@ -6,22 +6,10 @@ nonzero eigenvalues; EDoF counts the eigenvalues needed to capture a
 given fraction (default 99.9%) of the total energy. Two closed-form
 estimators are provided: the fringe count A_S A_R / (lambda L)^2 and the
 trace ratio tr^2(GG^H) / ||GG^H||_F^2.
-
-Two identical coaxial square UPAs give a channel that, viewed as
-t[i, k, j, l] (row antenna (i, k), column antenna (j, l)), is unchanged by
-the x-mirror, the y-mirror and the x<->y swap of both arrays. That structure
-is decided once, from the positions, in `channel.build_channel`, which sets
-`ChannelMatrix.grid` only for a matrix it gathered with that symmetry bit for
-bit. `eigen_spectrum` then folds it onto the even/odd mirror-parity
-subspaces: four blocks (169, 156, 156 and 144 rows at 25 x 25), of which the
-two mixed ones have one spectrum by the swap, so three small SVDs replace
-one large one. Every other channel (off-axis, rectangular, or built by hand
-from a matrix) takes the dense SVD, which is also the reference in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,55 +78,19 @@ def spectrum_from_eigenvalues(values, source_dims) -> EigenSpectrum:
     )
 
 
-def _fold(t: np.ndarray, even: bool) -> np.ndarray:
-    """Project the index pair (0, 2) of t[i, k, j, l] onto its mirror-even or
-    mirror-odd subspace; t must be unchanged by reversing axes 0 and 2 together.
-
-    The basis vectors are (e_a +- e_{S-1-a}) / sqrt(2), and e_c alone for the
-    centre c of an odd side S, so the even part's centre row and column carry
-    an extra 1 / sqrt(2).
-    """
-    side = t.shape[0]
-    half = (side + 1) // 2 if even else side // 2
-    head, mirrored = t[:half, :, :half], t[:half, :, ::-1][:, :, :half]
-    folded = head + mirrored if even else head - mirrored
-    if even and side % 2:
-        folded[-1] *= 1 / math.sqrt(2)
-        folded[:, :, -1] *= 1 / math.sqrt(2)
-    return folded
-
-
-def _parity_blocks(entries: np.ndarray, side: int) -> list[np.ndarray]:
-    """The even-even, even-odd and odd-odd parity blocks of an S^2 x S^2 matrix
-    (S = side) that is invariant under the x-mirror, the y-mirror and the
-    x<->y swap. The odd-even block is the even-odd one with x and y swapped,
-    so it has the same singular values."""
-    t = entries.reshape(side, side, side, side)
-    blocks = []
-    for even_x, even_y in ((True, True), (True, False), (False, False)):
-        # folding x, then y with the axes swapped, permutes rows and columns alike
-        b = _fold(_fold(t, even_x).transpose(1, 0, 3, 2), even_y)
-        rows = b.shape[0] * b.shape[1]
-        blocks.append(b.reshape(rows, rows))
-    return blocks
-
-
 def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     """Spectrum of G G^H, computed as squared singular values of G.
 
-    A channel that `build_channel` gathered from a coaxial twin grid is
-    decomposed by parity block; any other takes one dense SVD.
+    One SVD per block of `channel.blocks`, whose singular values repeat by the
+    block's multiplicity; a channel without blocks takes one dense SVD.
     """
     if channel.entries.size == 0:
         raise ValueError("empty channel matrix")
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
-    if channel.grid is None:
-        singular = np.linalg.svd(channel.entries, compute_uv=False)
-    else:
-        blocks = _parity_blocks(channel.entries, channel.grid.size)
-        even, mixed, odd = (np.linalg.svd(b, compute_uv=False) for b in blocks)
-        singular = np.concatenate([even, mixed, mixed, odd])
-    return spectrum_from_eigenvalues(singular**2, channel.entries.shape)
+    singular = []
+    for block, multiplicity in channel.blocks or ((channel.entries, 1),):
+        singular += [np.linalg.svd(block, compute_uv=False)] * multiplicity
+    return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.entries.shape)
 
 
 def count_dof(spectrum: EigenSpectrum, relative_floor: float = DEFAULT_DOF_FLOOR) -> int:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nfmimo.channel import SystemGeometry, build_channel, greens
+from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel, greens
 from nfmimo.beamfocus import spacing_threshold
 from nfmimo.geometry import PlanarArray, build_upa
 
@@ -165,7 +167,7 @@ class TestGatheredAssembly:
         tx = build_upa(side, spacing, plane_offset)
         rx = build_upa(side, spacing, plane_offset + separation)
         ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=wavelength))
-        assert ch.grid is not None
+        assert [m for _, m in ch.blocks] == [1, 2, 1]
         # t[i, k, j, l]: rx antenna (i, k), tx antenna (j, l)
         t = ch.entries.reshape(side, side, side, side)
         assert np.array_equal(t, t.transpose(1, 0, 3, 2))
@@ -202,9 +204,93 @@ class TestGatheredAssembly:
         ch = build_channel(geo)
         entries = ch.entries
         assert norm_shapes == [(rx.size, tx.size, 3)]
-        assert ch.grid is None
+        assert ch.blocks == ()
         assert np.array_equal(entries, dense_entries(geo))
         for i, rp in enumerate(rx.positions):
             for j, sp_ in enumerate(tx.positions):
                 assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
 
+
+def fold(t, even):
+    """Oracle: project the index pair (0, 2) of t[i, k, j, l] onto its mirror-even
+    or mirror-odd subspace; t must be unchanged by reversing axes 0 and 2 together.
+
+    The basis vectors are (e_a +- e_{S-1-a}) / sqrt(2), and e_c alone for the
+    centre c of an odd side S, so the even part's centre row and column carry
+    an extra 1 / sqrt(2).
+    """
+    side = t.shape[0]
+    half = (side + 1) // 2 if even else side // 2
+    head, mirrored = t[:half, :, :half], t[:half, :, ::-1][:, :, :half]
+    folded = head + mirrored if even else head - mirrored
+    if even and side % 2:
+        folded[-1] *= 1 / math.sqrt(2)
+        folded[:, :, -1] *= 1 / math.sqrt(2)
+    return folded
+
+
+def fold_entries(entries, side):
+    """Oracle: the even-even, even-odd and odd-odd parity blocks, folded from the
+    whole S^2 x S^2 matrix (S = side)."""
+    t = entries.reshape(side, side, side, side)
+    blocks = []
+    for even_x, even_y in ((True, True), (True, False), (False, False)):
+        # folding x, then y with the axes swapped, permutes rows and columns alike
+        b = fold(fold(t, even_x).transpose(1, 0, 3, 2), even_y)
+        rows = b.shape[0] * b.shape[1]
+        blocks.append(b.reshape(rows, rows))
+    return blocks
+
+
+def parity_basis(side, even):
+    """Orthonormal columns (e_a +- e_{S-1-a}) / sqrt(2), and e_c for the centre
+    c of an odd side in the even basis, in the order the folds use."""
+    half = (side + 1) // 2 if even else side // 2
+    basis = np.zeros((side, half))
+    for a in range(half):
+        basis[a, a] = 1.0
+        basis[side - 1 - a, a] += 1.0 if even else -1.0
+        basis[:, a] /= np.linalg.norm(basis[:, a])
+    return basis
+
+
+class TestBlocks:
+    """`build_channel`'s blocks are the gathered channel in the mirror-parity basis."""
+
+    @given(
+        side=st.integers(min_value=1, max_value=12),
+        spacing=st.floats(min_value=1e-4, max_value=10.0),
+        separation=st.floats(min_value=1e-2, max_value=1e3),
+        wavelength=st.floats(min_value=1e-3, max_value=1.0),
+        plane_offset=st.floats(min_value=-100.0, max_value=100.0).filter(bool),
+    )
+    def test_blocks_are_the_channel_in_the_parity_basis(
+        self, side, spacing, separation, wavelength, plane_offset
+    ):
+        tx = build_upa(side, spacing, plane_offset)
+        rx = build_upa(side, spacing, plane_offset + separation)
+        ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=wavelength))
+        parities = ((True, True), (True, False), (False, False))
+        scale = np.abs(ch.entries).max()
+        oracles = fold_entries(ch.entries, side)
+        for (block, _), oracle, (even_x, even_y) in zip(ch.blocks, oracles, parities, strict=True):
+            assert np.array_equal(block, oracle)
+            assert not block.flags.writeable
+            # antenna (n, m) is row n * S + m; block rows and columns are (y half, x half)
+            px, py = parity_basis(side, even_x), parity_basis(side, even_y)
+            q = np.einsum("ni,mk->nmki", px, py).reshape(side**2, -1)
+            np.testing.assert_allclose(block, q.T @ ch.entries @ q, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            ((np.zeros((3, 3)), 1),),
+            ((np.zeros((2, 2)), 1), (np.zeros((1, 1)), 1)),
+            ((np.zeros((1, 1)), 1), (np.zeros((1, 1)), 2)),
+            ((np.zeros((4, 2)), 1),),
+        ],
+        ids=["too_small", "rows_missing", "multiplicity_short", "columns_missing"],
+    )
+    def test_blocks_that_do_not_span_the_entries_are_rejected(self, blocks):
+        with pytest.raises(ValueError, match="blocks span"):
+            ChannelMatrix(entries=np.zeros((4, 4), dtype=complex), blocks=blocks)

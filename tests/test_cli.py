@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import nfmimo
+from nfmimo import beamfocus, experiments
 from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_length
 from nfmimo.experiments import SweepSpec, run_sweep
 
@@ -367,6 +368,35 @@ class TestInputChecks:
         assert run.stdout == ""
         assert run.stderr == f"error: output must be a path string, got {output!r}\n"
         assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            (["report", "--side-count", "2", "--spacing", "1lambda", "--separation", "1"], "missing/x.json"),
+            (["sweep", "fig5"], "missing/x.csv"),
+            (["sweep", "fig5"], "out.csv"),  # its sidecar path is a directory
+            (["sweep", "fig7"], "missing/x.csv"),
+            (["gainmap", "--points", "61"], "missing/g.csv"),
+        ],
+        ids=["report", "sweep_csv", "sweep_sidecar", "sweep_profile", "gainmap"],
+    )
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv, output):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        for name in ("point_metrics", "eigen_profile"):
+            monkeypatch.setattr(experiments, name, no_work)
+        monkeypatch.setattr(beamfocus, "gain_map", no_work)
+        (tmp_path / "out.csv").write_text("kept\n")
+        (tmp_path / "out.csv.spec.json").mkdir()
+        assert main([*argv, "--output", str(tmp_path / output)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        # opening for append created nothing and truncated nothing
+        assert (tmp_path / "out.csv").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.spec.json"]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -130,7 +130,7 @@ def svd_shapes(monkeypatch):
 
 
 class TestParityBlocks:
-    """The coaxial twin-UPA symmetry splits the spectrum into parity blocks."""
+    """A channel with parity blocks takes one SVD per block; any other takes one dense SVD."""
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig5", "fig7", "fig8"])
     def test_matches_dense_svd_and_hermitian_eigensolver(self, preset):
