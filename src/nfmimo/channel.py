@@ -10,20 +10,26 @@ from the positions. When transmitter and receiver are one square grid
 (antenna (n, m) at (c[n], c[m]) on both) centred bit for bit (c == -c[::-1])
 in two planes of constant z, the distance depends only on the squared 1-D
 offsets (c[n] - c[n'])^2 and (c[m] - c[m'])^2. `build_channel` then evaluates
-the kernel once per distinct pair of them and gathers the matrix; the
-distance is rounded as the dense assembly rounds it, so the entries are
-bit-identical. Centring makes each offset's mirror image its exact negative,
-so the matrix is unchanged by the x-mirror, the y-mirror and the x<->y swap,
-hence block-diagonal in the even/odd mirror-parity basis: `build_channel`
-folds the kernel table onto the even-even, even-odd and odd-odd blocks (the
-odd-even one is the even-odd one with x and y swapped, so it counts twice).
+the kernel once per distinct pair of them, and gathers the matrix from that
+table only when `entries` is read; the distance is rounded as the dense
+assembly rounds it, so the entries are bit-identical. Centring makes each
+offset's mirror image its exact negative, so the matrix commutes with the
+dihedral group D4 of the square: the x-mirror, the y-mirror and the x<->y
+swap. `build_channel` folds the kernel table onto the even-even, even-odd and
+odd-odd mirror-parity blocks (the odd-even one is the even-odd one with x and
+y swapped, so it counts twice), and splits the even-even and odd-odd ones
+into their swap-symmetric and swap-antisymmetric parts: five distinct blocks,
+at 25 x 25 of 91, 78, 156 (twice), 78 and 66 rows. The even-odd block is the
+two-dimensional irrep and splits no further.
 Any other geometry, such as a shifted or rescaled receiver or unequal arrays,
 takes the dense per-pair assembly, the reference in the tests, and no blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +63,38 @@ class SystemGeometry:
         return 2 * np.pi / self.wavelength
 
 
-@dataclass(frozen=True)
 class ChannelMatrix:
     """Complex (N_R, N_S) matrix of Green's-function coefficients, plus (block,
     multiplicity) pairs whose singular values, each repeated `multiplicity`
-    times, are those of `entries`; empty when none are known."""
+    times, are those of `entries`; empty when none are known.
 
-    entries: np.ndarray
-    blocks: tuple[tuple[np.ndarray, int], ...] = ()
+    Built from `entries`, or from its `shape` and a `gather` that returns it; the
+    matrix is then gathered on the first read of `entries` and kept, read-only.
+    """
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        entries: np.ndarray | None = None,
+        blocks: tuple[tuple[np.ndarray, int], ...] = (),
+        *,
+        shape: tuple[int, int] | None = None,
+        gather: Callable[[], np.ndarray] | None = None,
+    ):
+        if entries is not None:
+            self.__dict__["entries"] = entries  # fills the cached property below
+            shape = entries.shape
+        self.shape = tuple(shape)
+        self.blocks = tuple(blocks)
+        self._gather = gather
         spans = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
-        if self.blocks and spans != self.entries.shape:
-            raise ValueError(f"blocks span {spans}, but the entries are {self.entries.shape}")
+        if self.blocks and spans != self.shape:
+            raise ValueError(f"blocks span {spans}, but the entries are {self.shape}")
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        entries = self._gather()
+        entries.setflags(write=False)
+        return entries
 
 
 def greens(receive_point, source_point, wavelength: float) -> complex:
@@ -133,17 +158,44 @@ def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
     return folded
 
 
+def _swap_parts(folded: np.ndarray) -> list[np.ndarray]:
+    """The swap-symmetric and swap-antisymmetric blocks of folded[i, j, k, l], the
+    matrix with rows (k, i) and columns (l, j), unchanged by swapping x and y halves.
+
+    Rows and columns are the pairs (k, i) in np.triu_indices order: k <= i with basis
+    (e_(k,i) + e_(i,k)) / sqrt(2), and e_(i,i) alone, for the symmetric part, so its
+    diagonal rows and columns carry an extra 1 / sqrt(2); k < i for the antisymmetric one.
+    """
+    parts = []
+    for symmetric in (True, False):
+        k, i = np.triu_indices(folded.shape[0], 0 if symmetric else 1)
+        same, swapped = folded[i[:, None], i, k[:, None], k], folded[i[:, None], k, k[:, None], i]
+        part = same + swapped if symmetric else same - swapped
+        if symmetric:
+            diagonal = k == i
+            part[diagonal] *= 1 / math.sqrt(2)
+            part[:, diagonal] *= 1 / math.sqrt(2)
+        parts.append(part)
+    return parts
+
+
 def _parity_blocks(table: np.ndarray, index: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
-    """The even-even, even-odd and odd-odd parity blocks, with multiplicities, of the
-    matrix whose entry for rx (i, k) and tx (j, l) is table[index[i, j], index[k, l]]."""
+    """The D4 blocks, with multiplicities, of the matrix whose entry for rx (i, k) and
+    tx (j, l) is table[index[i, j], index[k, l]]: the even-even and odd-odd parity blocks,
+    each split into its swap-symmetric and swap-antisymmetric parts, and the even-odd one,
+    which stands for the odd-even one too."""
     blocks = []
-    for even_x, even_y, multiplicity in ((True, True, 1), (True, False, 2), (False, False, 1)):
+    for even_x, even_y in ((True, True), (True, False), (False, False)):
         # the x-fold is [y offset, i, j], then the y-fold [i, j, k, l]
         folded = _fold(_fold(table.T, index, even_x).transpose(1, 2, 0), index, even_y)
-        rows = folded.shape[0] * folded.shape[2]
-        block = folded.transpose(2, 0, 3, 1).reshape(rows, rows)  # rows (k, i), columns (l, j)
+        if even_x == even_y:
+            blocks += [(part, 1) for part in _swap_parts(folded)]
+        else:
+            rows = folded.shape[0] * folded.shape[2]
+            # rows (k, i), columns (l, j)
+            blocks.append((folded.transpose(2, 0, 3, 1).reshape(rows, rows), 2))
+    for block, _ in blocks:
         block.setflags(write=False)
-        blocks.append((block, multiplicity))
     return tuple(blocks)
 
 
@@ -151,23 +203,25 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     """Assemble the exact Green's-function channel matrix.
 
     entries[i, j] couples receive antenna i to transmit antenna j, using
-    the array ordering fixed by `geometry`'s PlanarArrays.
+    the array ordering fixed by `geometry`'s PlanarArrays. A coaxial twin
+    grid's matrix is gathered only when `entries` is read.
     """
     c = _shared_grid(geometry)
     if c is None:
         diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
         entries = _kernel(np.linalg.norm(diff, axis=2), geometry.wavenumber)
-        blocks = ()
-    else:
-        # r = sqrt((dx^2 + dy^2) + dz^2), summed in np.linalg.norm's order
-        offsets = c[:, None] - c[None, :]
-        squares, index = np.unique(offsets * offsets, return_inverse=True)
-        dz = geometry.rx.positions[0, 2] - geometry.tx.positions[0, 2]
-        r = np.sqrt((squares[:, None] + squares[None, :]) + dz * dz)
-        table = _kernel(r, geometry.wavenumber)
-        side = c.size
-        index = index.reshape(side, side)
-        entries = table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
-        blocks = _parity_blocks(table, index)
-    entries.setflags(write=False)
-    return ChannelMatrix(entries=entries, blocks=blocks)
+        entries.setflags(write=False)
+        return ChannelMatrix(entries=entries)
+    # r = sqrt((dx^2 + dy^2) + dz^2), summed in np.linalg.norm's order
+    offsets = c[:, None] - c[None, :]
+    squares, index = np.unique(offsets * offsets, return_inverse=True)
+    dz = geometry.rx.positions[0, 2] - geometry.tx.positions[0, 2]
+    r = np.sqrt((squares[:, None] + squares[None, :]) + dz * dz)
+    table = _kernel(r, geometry.wavenumber)
+    side = c.size
+    index = index.reshape(side, side)
+
+    def gather():
+        return table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
+
+    return ChannelMatrix(shape=(side**2, side**2), gather=gather, blocks=_parity_blocks(table, index))

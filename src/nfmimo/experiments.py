@@ -388,6 +388,22 @@ def _preset_fig5() -> tuple[SweepSpec, dict]:
     return spec, notes
 
 
+def _preset_xl() -> tuple[SweepSpec, dict]:
+    lam, sep, largest = 0.01, 40.0, 100
+    notes = {
+        "grid": "the fig5 wavelength and separation at spacing sqrt(lambda L / 100) = 6.32 "
+        "lambda, the threshold of the largest array, 100 x 100"
+    }
+    spec = SweepSpec(
+        swept_variable="antennas_per_side",
+        grid=(25, 50, 75, largest),
+        wavelength=lam,
+        spacing=beamfocus.spacing_threshold(largest**2, lam, sep),
+        separation=sep,
+    )
+    return spec, notes
+
+
 def _profile_spec(spacing_factor: float) -> SystemGeometry:
     lam, sep, side = 0.01, 40.0, 25
     d = spacing_factor * beamfocus.spacing_threshold(side**2, lam, sep)
@@ -400,6 +416,7 @@ SWEEP_PRESETS = {
     "fig5": _preset_fig5,
     "fig6": _preset_fig5,
     "fig9": _preset_fig5,
+    "xl": _preset_xl,
 }
 
 PROFILE_PRESETS = {

@@ -84,13 +84,13 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     One SVD per block of `channel.blocks`, whose singular values repeat by the
     block's multiplicity; a channel without blocks takes one dense SVD.
     """
-    if channel.entries.size == 0:
+    if 0 in channel.shape:
         raise ValueError("empty channel matrix")
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
     singular = []
     for block, multiplicity in channel.blocks or ((channel.entries, 1),):
         singular += [np.linalg.svd(block, compute_uv=False)] * multiplicity
-    return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.entries.shape)
+    return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.shape)
 
 
 def count_dof(spectrum: EigenSpectrum, relative_floor: float = DEFAULT_DOF_FLOOR) -> int:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from nfmimo import experiments
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel, greens
+from nfmimo.experiments import SystemParams, coaxial_system, point_metrics
 from nfmimo.beamfocus import spacing_threshold
 from nfmimo.geometry import PlanarArray, build_upa
 
@@ -167,7 +169,7 @@ class TestGatheredAssembly:
         tx = build_upa(side, spacing, plane_offset)
         rx = build_upa(side, spacing, plane_offset + separation)
         ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=wavelength))
-        assert [m for _, m in ch.blocks] == [1, 2, 1]
+        assert [m for _, m in ch.blocks] == [1, 1, 2, 1, 1]
         # t[i, k, j, l]: rx antenna (i, k), tx antenna (j, l)
         t = ch.entries.reshape(side, side, side, side)
         assert np.array_equal(t, t.transpose(1, 0, 3, 2))
@@ -209,6 +211,28 @@ class TestGatheredAssembly:
         for i, rp in enumerate(rx.positions):
             for j, sp_ in enumerate(tx.positions):
                 assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
+
+
+class TestLazyEntries:
+    """A gathered channel assembles its N x N matrix only when `entries` is read."""
+
+    def test_point_metrics_never_gathers_the_matrix(self, monkeypatch):
+        built = []
+
+        def recorded(geometry):
+            built.append(build_channel(geometry))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "build_channel", recorded)
+        d = spacing_threshold(625, 0.01, 40.0)
+        point_metrics(SystemParams(wavelength=0.01, side_count=25, spacing=d, separation=40.0), d)
+        (ch,) = built
+        assert "entries" not in vars(ch)
+        assert ch.shape == (625, 625)
+        entries = ch.entries
+        assert np.array_equal(entries, dense_entries(coaxial_system(25, d, 40.0, 0.01)))
+        assert not entries.flags.writeable
+        assert ch.entries is entries
 
 
 def fold(t, even):
@@ -254,8 +278,22 @@ def parity_basis(side, even):
     return basis
 
 
+def swap_basis(half, symmetric):
+    """Orthonormal columns (e_(k,i) +- e_(i,k)) / sqrt(2) over the pairs k <= i (k < i
+    for the antisymmetric ones), e_(i,i) alone on the diagonal; pair (k, i) is row
+    k * half + i, and the pairs run in np.triu_indices order."""
+    pairs = [(k, i) for k in range(half) for i in range(k if symmetric else k + 1, half)]
+    basis = np.zeros((half * half, len(pairs)))
+    for col, (k, i) in enumerate(pairs):
+        basis[k * half + i, col] = 1.0
+        basis[i * half + k, col] += 1.0 if symmetric else -1.0
+        basis[:, col] /= np.linalg.norm(basis[:, col])
+    return basis
+
+
 class TestBlocks:
-    """`build_channel`'s blocks are the gathered channel in the mirror-parity basis."""
+    """`build_channel`'s blocks are the gathered channel in the D4 basis: the mirror-parity
+    basis, and in the even-even and odd-odd blocks the x<->y swap parts of it."""
 
     @given(
         side=st.integers(min_value=1, max_value=12),
@@ -264,21 +302,35 @@ class TestBlocks:
         wavelength=st.floats(min_value=1e-3, max_value=1.0),
         plane_offset=st.floats(min_value=-100.0, max_value=100.0).filter(bool),
     )
+    @example(side=1, spacing=0.01, separation=1.0, wavelength=0.01, plane_offset=1.0)
+    @example(side=2, spacing=0.01, separation=1.0, wavelength=0.01, plane_offset=1.0)
     def test_blocks_are_the_channel_in_the_parity_basis(
         self, side, spacing, separation, wavelength, plane_offset
     ):
         tx = build_upa(side, spacing, plane_offset)
         rx = build_upa(side, spacing, plane_offset + separation)
         ch = build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=wavelength))
-        parities = ((True, True), (True, False), (False, False))
+        assert [m for _, m in ch.blocks] == [1, 1, 2, 1, 1]
+        ee_sym, ee_anti, eo, oo_sym, oo_anti = (block for block, _ in ch.blocks)
+        assert np.array_equal(eo, fold_entries(ch.entries, side)[1])
+        if side <= 2:
+            assert ee_anti.shape == oo_anti.shape == (0, 0)
         scale = np.abs(ch.entries).max()
-        oracles = fold_entries(ch.entries, side)
-        for (block, _), oracle, (even_x, even_y) in zip(ch.blocks, oracles, parities, strict=True):
-            assert np.array_equal(block, oracle)
+        # (block, x parity, y parity, swap part: symmetric, antisymmetric or None for unsplit)
+        cases = [
+            (ee_sym, True, True, True),
+            (ee_anti, True, True, False),
+            (eo, True, False, None),
+            (oo_sym, False, False, True),
+            (oo_anti, False, False, False),
+        ]
+        for block, even_x, even_y, symmetric in cases:
             assert not block.flags.writeable
-            # antenna (n, m) is row n * S + m; block rows and columns are (y half, x half)
+            # antenna (n, m) is row n * S + m; parity rows and columns are (y half, x half)
             px, py = parity_basis(side, even_x), parity_basis(side, even_y)
             q = np.einsum("ni,mk->nmki", px, py).reshape(side**2, -1)
+            if symmetric is not None:
+                q = q @ swap_basis(px.shape[1], symmetric)
             np.testing.assert_allclose(block, q.T @ ch.entries @ q, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize(

@@ -245,7 +245,7 @@ class TestValidateClosedForm:
 
 class TestPresets:
     def test_names(self):
-        assert set(preset_names()) == {"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9"}
+        assert set(preset_names()) == {"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "xl"}
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -264,6 +264,15 @@ class TestPresets:
         d_th = np.sqrt(spec.wavelength * spec.separation / spec.side_count)
         assert d_th == pytest.approx(3.2 * LAM, rel=1e-12)
         assert "inferred" in notes
+
+    def test_xl_largest_array_sits_at_its_threshold(self):
+        # the spec only: the 100 x 100 point takes about 22 s, so tier-1 never runs it
+        kind, spec, _ = load_preset("xl")
+        assert kind == "sweep"
+        assert spec.swept_variable == "antennas_per_side"
+        assert spec.grid == (25, 50, 75, 100)
+        assert (spec.wavelength, spec.separation) == (LAM, 40.0)
+        assert spec.spacing == pytest.approx(np.sqrt(LAM * 40.0 / 100), rel=1e-12)
 
     def test_fig7_fig8_profiles(self):
         kind7, geo7, _ = load_preset("fig7")

@@ -148,12 +148,17 @@ class TestParityBlocks:
                 np.testing.assert_allclose(floats, ref_floats, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
-        "side, blocks", [(1, [(1, 1)]), (4, [(4, 4)] * 3), (25, [(169, 169), (156, 156), (144, 144)])]
+        "side, blocks",
+        [
+            (1, [(1, 1)]),
+            (4, [(3, 3), (1, 1), (4, 4), (3, 3), (1, 1)]),
+            (25, [(91, 91), (78, 78), (156, 156), (78, 78), (66, 66)]),
+        ],
     )
     def test_symmetric_channel_takes_three_block_svds(self, svd_shapes, side, blocks):
         ch = make_channel(side=side, spacing=0.1265, separation=40.0)
         spec = eigen_spectrum(ch)
-        # a 0 x 0 block stands for an empty parity subspace (odd parity at side 1)
+        # a 0 x 0 block stands for an empty subspace (all but the even-even symmetric one at side 1)
         assert [s for s in svd_shapes if s != (0, 0)] == blocks
         assert spec.values.size == side**2
         np.testing.assert_allclose(spec.values, dense_spectrum(ch).values, rtol=0, atol=1e-13 * spec.values[0])
