@@ -150,8 +150,9 @@ def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
     """
     side = index.shape[0]
     half = (side + 1) // 2 if even else side // 2
-    head, mirrored = values[..., index[:half, :half]], values[..., index[:half, ::-1][:, :half]]
-    folded = head + mirrored if even else head - mirrored
+    folded = values[..., index[:half, :half]]
+    # in place: the fold holds two arrays of its size, not three
+    (np.add if even else np.subtract)(folded, values[..., index[:half, ::-1][:, :half]], out=folded)
     if even and side % 2:
         folded[..., -1, :] *= 1 / math.sqrt(2)
         folded[..., -1] *= 1 / math.sqrt(2)
@@ -169,8 +170,8 @@ def _swap_parts(folded: np.ndarray) -> list[np.ndarray]:
     parts = []
     for symmetric in (True, False):
         k, i = np.triu_indices(folded.shape[0], 0 if symmetric else 1)
-        same, swapped = folded[i[:, None], i, k[:, None], k], folded[i[:, None], k, k[:, None], i]
-        part = same + swapped if symmetric else same - swapped
+        part = folded[i[:, None], i, k[:, None], k]
+        (np.add if symmetric else np.subtract)(part, folded[i[:, None], k, k[:, None], i], out=part)
         if symmetric:
             diagonal = k == i
             part[diagonal] *= 1 / math.sqrt(2)
@@ -194,6 +195,7 @@ def _parity_blocks(table: np.ndarray, index: np.ndarray) -> tuple[tuple[np.ndarr
             rows = folded.shape[0] * folded.shape[2]
             # rows (k, i), columns (l, j)
             blocks.append((folded.transpose(2, 0, 3, 1).reshape(rows, rows), 2))
+        del folded  # free this fold before the next one is gathered
     for block, _ in blocks:
         block.setflags(write=False)
     return tuple(blocks)

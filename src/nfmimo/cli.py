@@ -55,8 +55,7 @@ FLAGS = {
     "spacing": "antenna spacing (meters or e.g. 0.5lambda)",
     "separation": "plane separation (meters or e.g. 4000lambda)",
     "energy_fraction": None,
-    "power": "total transmit power",
-    "noise_variance": None,
+    "power": "total transmit power at unit noise variance",
     "output": "output file path",
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
@@ -108,7 +107,7 @@ def load_config(args) -> tuple[SystemParams, str | None]:
     wavelength = _number("wavelength", merged["wavelength"], float)
     if not isinstance(wavelength, float):
         raise ValueError(f"wavelength must be a number, got {wavelength!r}")
-    settings = ("energy_fraction", "power", "noise_variance")
+    settings = ("energy_fraction", "power")
     params = SystemParams(
         wavelength=wavelength,
         side_count=_number("side_count", merged["side_count"], int),

@@ -5,9 +5,12 @@ while holding the rest of the system fixed, and emits one record per grid
 point with every DoF / EDoF / gain / capacity metric. Sweeps are fully
 deterministic: the same spec yields byte-identical CSV output.
 
-When no transmit power is given it is resolved per point so that the
-focused single-antenna SNR is 10 dB (the reference figures omit the SNR
-setting, so capacity curves are shape-level reproductions only).
+Capacity depends on the power only through the SNR P / sigma^2, so `power`
+is the transmit power at unit noise variance. When none is given it is
+resolved per point so that the focused single-antenna SNR is 10 dB (the
+reference figures omit the SNR setting, so capacity curves are shape-level
+reproductions only). The fringe EDoF estimate uses each array's cell area
+N d^2, with which it equals N at the spacing threshold.
 
 Every metric of one system comes from `point_metrics` on a validated
 `SystemParams`; a sweep point and the CLI's `report` share that path.
@@ -30,7 +33,7 @@ from .geometry import build_upa
 # swept variable -> the SystemParams field it sets
 SWEPT_FIELD = {"spacing": "spacing", "antennas_per_side": "side_count", "separation": "separation"}
 SWEPT_VARIABLES = tuple(SWEPT_FIELD)
-DEFAULT_MAX_POINTS = 200
+MAX_GRID_POINTS = 200
 DEFAULT_FOCUSED_SNR_DB = 10.0
 
 
@@ -68,9 +71,6 @@ FIELD_RULES = {
     "separation": ("a positive finite number", _is_positive),
     "energy_fraction": ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1),
     "power": ("null or a finite number >= 0", lambda v: v is None or (_is_number(v) and v >= 0)),
-    "noise_variance": ("a positive finite number", _is_positive),
-    "area_convention": (f"one of {sp.AREA_CONVENTIONS}", lambda v: v in sp.AREA_CONVENTIONS),
-    "max_points": ("an integer >= 1", _is_count),
 }
 
 
@@ -87,22 +87,13 @@ class SystemParams:
     spacing: float
     separation: float
     energy_fraction: float = sp.DEFAULT_ENERGY_FRACTION
-    power: float | None = None  # None: auto, focused single-antenna SNR = 10 dB
-    noise_variance: float = 1.0
-    area_convention: str = "cell"
+    power: float | None = None  # at unit noise variance; None: focused single-antenna SNR = 10 dB
 
     def __post_init__(self):
-        self._validate(swept=None)
-
-    def _validate(self, swept: str | None) -> None:
-        """Check every field against FIELD_RULES; the `swept` field must be None instead."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == swept:
-                if value is not None:
-                    raise ValueError(f"{swept} is swept and must not also be fixed")
-            elif f.name in FIELD_RULES and not FIELD_RULES[f.name][1](value):
-                raise ValueError(f"{f.name} must be {FIELD_RULES[f.name][0]}, got {value!r}")
+        for name, (what, check) in FIELD_RULES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
     @property
     def n_antennas(self) -> int:
@@ -111,14 +102,14 @@ class SystemParams:
 
 @dataclass(frozen=True, kw_only=True)
 class SweepSpec(SystemParams):
-    """One-variable sweep: SystemParams with the swept field unset, plus a grid."""
+    """One-variable sweep: SystemParams with the swept field unset, plus a grid;
+    every grid point must give valid SystemParams, which checks the fixed fields."""
 
     swept_variable: str
     grid: tuple
     side_count: int | None = None
     spacing: float | None = None
     separation: float | None = None
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         if self.swept_variable not in SWEPT_VARIABLES:
@@ -127,11 +118,13 @@ class SweepSpec(SystemParams):
             raise ValueError(f"sweep grid must be a list of numbers, got {self.grid!r}")
         grid = tuple(self.grid)
         object.__setattr__(self, "grid", grid)
-        self._validate(swept=SWEPT_FIELD[self.swept_variable])
+        swept = SWEPT_FIELD[self.swept_variable]
+        if getattr(self, swept) is not None:
+            raise ValueError(f"{swept} is swept and must not also be fixed")
         if len(grid) == 0:
             raise ValueError("sweep grid is empty")
-        if len(grid) > self.max_points:
-            raise ValueError(f"sweep grid has {len(grid)} points, cap is {self.max_points}")
+        if len(grid) > MAX_GRID_POINTS:
+            raise ValueError(f"sweep grid has {len(grid)} points, cap is {MAX_GRID_POINTS}")
         bad = [v for v in grid if not _is_number(v)]
         if bad:
             raise ValueError(f"sweep grid entries must be finite numbers, got {bad[0]!r}")
@@ -188,10 +181,10 @@ class SweepRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
-def auto_power(n_antennas: int, separation: float, noise_variance: float) -> float:
-    """Power making the focused single-antenna SNR equal 10 dB."""
+def auto_power(n_antennas: int, separation: float) -> float:
+    """Power making the focused single-antenna SNR equal 10 dB at unit noise variance."""
     target = 10 ** (DEFAULT_FOCUSED_SNR_DB / 10)
-    return target * noise_variance * (4 * math.pi * separation) ** 2 / n_antennas
+    return target * (4 * math.pi * separation) ** 2 / n_antennas
 
 
 def _estimator_truncation(estimate: float, n_values: int) -> int:
@@ -213,17 +206,17 @@ def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
     p = params
     geometry = coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength)
     spec_vals = sp.eigen_spectrum(build_channel(geometry))
-    area_tx, area_rx = (sp.plane_area(a, p.area_convention) for a in (geometry.tx, geometry.rx))
+    area_tx, area_rx = sp.plane_area(geometry.tx), sp.plane_area(geometry.rx)
     edof = sp.edof_report(spec_vals, area_tx, area_rx, p.wavelength, p.separation, p.energy_fraction)
 
     n = p.n_antennas
     setup = beamfocus.make_focus_setup(geometry)
     r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
-    power = p.power if p.power is not None else auto_power(n, p.separation, p.noise_variance)
+    power = p.power if p.power is not None else auto_power(n, p.separation)
     n_values = spec_vals.values.size
 
     def cap(truncate_to=None):
-        return sp.capacity(spec_vals, power, p.noise_variance, n, truncate_to)
+        return sp.capacity(spec_vals, power, 1.0, n, truncate_to)
 
     return SweepRecord(
         swept_value=float(swept_value),

@@ -19,7 +19,6 @@ from .geometry import PlanarArray
 
 DEFAULT_ENERGY_FRACTION = 0.999
 DEFAULT_DOF_FLOOR = 1e-12
-AREA_CONVENTIONS = ("cell", "span")
 
 # Eigenvalues of a PSD Gram matrix may come out slightly negative from an
 # eigensolver; anything below this (relative to the largest eigenvalue)
@@ -125,19 +124,10 @@ def edof_fringes(area_tx: float, area_rx: float, wavelength: float, separation: 
     return (area_tx * area_rx) / (wavelength**2 * separation**2)
 
 
-def plane_area(array: PlanarArray, convention: str = "cell") -> float:
-    """Aperture area of a UPA.
-
-    "cell": each antenna owns a spacing x spacing cell, area = N d^2. With
-    this convention the fringe estimate equals N exactly at the spacing
-    threshold. "span": area of the bounding square through the outermost
-    antenna centers, ((side_count - 1) d)^2.
-    """
-    if convention == "cell":
-        return array.area
-    if convention == "span":
-        return ((array.side_count - 1) * array.spacing) ** 2
-    raise ValueError(f"unknown area convention {convention!r}")
+def plane_area(array: PlanarArray) -> float:
+    """Aperture area of a UPA whose antennas each own a spacing x spacing cell,
+    N d^2; with it the fringe estimate equals N exactly at the spacing threshold."""
+    return array.area
 
 
 def edof_trace(spectrum: EigenSpectrum) -> float:

@@ -95,9 +95,12 @@ class TestReport:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["n_dof"] == 1
 
-    def test_unknown_config_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data", [{"frequency": 30e9}, {"noise_variance": 1.0}], ids=["frequency", "noise_variance"]
+    )
+    def test_unknown_config_field(self, tmp_path, capsys, data):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"frequency": 30e9}))
+        cfg.write_text(json.dumps(data))
         assert main(["report", "--config", str(cfg)]) == EXIT_VALIDATION
         capsys.readouterr()
 
@@ -267,10 +270,16 @@ class TestInputChecks:
             {"grid": [0.005, float("nan")]},
             {"swept_variable": "separation", "separation": None, "spacing": 0.005, "grid": [-1.0, 1.0]},
             {"swept_variable": "antennas_per_side", "side_count": None, "spacing": 0.005, "grid": [2.2, 2.7]},
+            {"noise_variance": 1.0},
+            {"max_points": 500},
+            # SPEC's sidecar as written before these three settings were removed
+            {"area_convention": "cell", "energy_fraction": 0.999, "max_points": 200,
+             "noise_variance": 1.0, "power": None, "spacing": None},
         ],
         ids=[
             "side_count_5.5", "wavelength_string", "area_convention_bogus", "grid_nan_string",
             "grid_nan_json", "grid_separation_negative", "grid_side_count_fractional",
+            "noise_variance", "max_points", "old_sidecar",
         ],
     )
     def test_spec_rejected_at_load(self, tmp_path, capsys, overrides):
@@ -417,7 +426,7 @@ def test_subcommand_flags():
     system = {"config", "wavelength", "side_count", "spacing", "separation"}
     expected = {
         "threshold": system,
-        "report": system | {"energy_fraction", "power", "noise_variance", "output", "json"},
+        "report": system | {"energy_fraction", "power", "output", "json"},
         "sweep": {"preset", "output"},
         "gainmap": system | {"output", "mode", "extent", "points"},
         "validate": system - {"spacing"},
@@ -428,7 +437,7 @@ def test_subcommand_flags():
         for name, parser in subparsers.choices.items()
     }
     assert dests == expected
-    assert sum(map(len, dests.values())) == 30
+    assert sum(map(len, dests.values())) == 29
 
 
 def test_report_is_the_one_point_sweep(capsys):

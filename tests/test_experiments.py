@@ -36,6 +36,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+# noise_variance, area_convention and max_points are former fields, and bandwidth never was
 SPEC_KEYS = st.sampled_from(
     ["swept_variable", "grid", "wavelength", "side_count", "spacing", "separation", "energy_fraction",
      "power", "noise_variance", "area_convention", "max_points", "preset", "notes", "bandwidth"]

@@ -104,7 +104,7 @@ def dense_spectrum(ch):
 def sweep_metrics(spec, geo):
     """(integer metrics, float metrics) as a sweep record derives them."""
     n = spec.source_dims[1]
-    power = auto_power(n, geo.separation, 1.0)
+    power = auto_power(n, geo.separation)
     n_edof = edof_exact(spec)
     floats = (
         spec.total_energy,
@@ -273,14 +273,6 @@ class TestPlaneArea:
         arr = build_upa(5, 0.2, 0.0)
         assert plane_area(arr) == pytest.approx(25 * 0.04)
 
-    def test_span_convention(self):
-        arr = build_upa(5, 0.2, 0.0)
-        assert plane_area(arr, "span") == pytest.approx(0.64)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            plane_area(build_upa(2, 0.1, 0.0), "hexagon")
-
 
 class TestEdofTrace:
     def test_single_value(self):
@@ -339,6 +331,17 @@ class TestCapacity:
         spec = synthetic([1.0, 1.0])
         with pytest.raises(ValueError):
             capacity(spec, 1.0, 1.0, 2, truncate_to=3)
+
+    @given(
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        truncate_to=st.none() | st.integers(min_value=1, max_value=16),
+    )
+    def test_depends_on_power_only_through_snr(self, scale, truncate_to):
+        # the fact that lets the noise variance stay fixed at 1
+        spec = eigen_spectrum(make_channel(side=4))
+        base = capacity(spec, 2.5e5, 1.0, 16, truncate_to)
+        scaled = capacity(spec, 2.5e5 * scale, scale, 16, truncate_to)
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
