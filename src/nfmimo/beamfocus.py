@@ -32,11 +32,13 @@ class GainMode(Enum):
 
 @dataclass(frozen=True)
 class FocusSetup:
-    """Transmit phases steering a geometry toward a focus point."""
+    """Transmit phases steering a geometry toward a focus point: the exact ones, and
+    the Fresnel-expanded ones that fresnel-mode gains use."""
 
     geometry: SystemGeometry
     focus_point: np.ndarray
     phases: np.ndarray
+    fresnel_phases: np.ndarray
 
 
 def wrap_phase(phi):
@@ -55,20 +57,21 @@ def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
     return wrap_phase(-geometry.wavenumber * dist)
 
 
-def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
-    """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
-    fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
-    phases = focusing_phases(geometry, fp)
-    fp.setflags(write=False)
-    phases.setflags(write=False)
-    return FocusSetup(geometry=geometry, focus_point=fp, phases=phases)
-
-
 def _fresnel_phase(points, probe, wavenumber):
     """Taylor-expanded propagation phase k (Lz + ((px-x)^2 + (py-y)^2) / (2 Lz))."""
     lz = probe[2] - points[0, 2]
     lateral_sq = (probe[0] - points[:, 0]) ** 2 + (probe[1] - points[:, 1]) ** 2
     return wavenumber * (lz + lateral_sq / (2 * lz))
+
+
+def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
+    """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
+    fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
+    phases = focusing_phases(geometry, fp)
+    fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, geometry.wavenumber)
+    for array in (fp, phases, fresnel_phases):
+        array.setflags(write=False)
+    return FocusSetup(geometry=geometry, focus_point=fp, phases=phases, fresnel_phases=fresnel_phases)
 
 
 def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_ONLY) -> float:
@@ -95,7 +98,7 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
         # expand both the propagation and the focusing phase, per the
         # derivation regime; the stored exact phases are not used here
         prop = _fresnel_phase(tx, probe, k)
-        steer = -_fresnel_phase(tx, setup.focus_point, k)
+        steer = setup.fresnel_phases
         amp = 1.0
     else:
         prop = k * dist

@@ -5,24 +5,30 @@ at r_R is -exp(ik|r_R - r_S|) / (4 pi |r_R - r_S|), evaluated with the exact
 distance. No amplitude or phase approximation is applied here; approximate
 propagation models live in `beamfocus` behind explicit mode labels.
 
-Whether a channel has the coaxial twin-grid structure is decided once, here,
-from the positions. When transmitter and receiver are one square grid
-(antenna (n, m) at (c[n], c[m]) on both) centred bit for bit (c == -c[::-1])
-in two planes of constant z, the distance depends only on the squared 1-D
-offsets (c[n] - c[n'])^2 and (c[m] - c[m'])^2. `build_channel` then evaluates
-the kernel once per distinct pair of them, and gathers the matrix from that
-table only when `entries` is read; the distance is rounded as the dense
-assembly rounds it, so the entries are bit-identical. Centring makes each
-offset's mirror image its exact negative, so the matrix commutes with the
-dihedral group D4 of the square: the x-mirror, the y-mirror and the x<->y
-swap. `build_channel` folds the kernel table onto the even-even, even-odd and
-odd-odd mirror-parity blocks (the odd-even one is the even-odd one with x and
-y swapped, so it counts twice), and splits the even-even and odd-odd ones
-into their swap-symmetric and swap-antisymmetric parts: five distinct blocks,
-at 25 x 25 of 91, 78, 156 (twice), 78 and 66 rows. The even-odd block is the
-two-dimensional irrep and splits no further.
-Any other geometry, such as a shifted or rescaled receiver or unequal arrays,
-takes the dense per-pair assembly, the reference in the tests, and no blocks.
+How a channel is assembled is decided once, here, from the positions. Every
+route rounds the distance as np.linalg.norm rounds it, sqrt((dx^2 + dy^2) +
+dz^2), so all of them give bit-identical entries:
+
+- Grid arrays. An array is a grid when antenna (n, m) sits at (x[n], y[m], z)
+  bit for bit. Between two grids the distance depends only on the small
+  squared-offset tables (x_R[a] - x_S[n])^2 and (y_R[b] - y_S[m])^2, so
+  `build_channel` broadcasts them into one N_R x N_S distance array and
+  evaluates the kernel in place on one complex array.
+- Coaxial twins. When both grids have x == y == c, centred bit for bit
+  (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
+  `build_channel` then evaluates the kernel once per distinct pair of them,
+  and gathers the matrix from that table only when `entries` is read.
+  Centring makes each offset's mirror image its exact negative, so the matrix
+  commutes with the dihedral group D4 of the square: the x-mirror, the
+  y-mirror and the x<->y swap. `build_channel` folds the kernel table onto the
+  even-even, even-odd and odd-odd mirror-parity blocks (the odd-even one is
+  the even-odd one with x and y swapped, so it counts twice), and splits the
+  even-even and odd-odd ones into their swap-symmetric and swap-antisymmetric
+  parts: five distinct blocks, at 25 x 25 of 91, 78, 156 (twice), 78 and 66
+  rows. The even-odd block is the two-dimensional irrep and splits no further.
+- Any other positions, such as a tilted or jittered array, take the per-pair
+  assembly: one np.linalg.norm over every antenna pair, the reference in the
+  tests, with no blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlanarArray
+
+_SLAB_BYTES = 8 << 20  # bounds each gathered addend; at S = 25 (at most 457 kB) it is one slab
 
 
 @dataclass(frozen=True)
@@ -118,27 +126,53 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
     return complex(-np.exp(1j * k * r) / (4 * np.pi * r))
 
 
-def _shared_grid(geometry: SystemGeometry) -> np.ndarray | None:
-    """The 1-D coordinates c when both arrays put antenna (n, m) at (c[n], c[m]),
-    c == -c[::-1] bit for bit and each array lies in a plane of constant z;
-    None otherwise."""
-    tx, rx = geometry.tx.positions, geometry.rx.positions
-    side = math.isqrt(len(tx))
-    if side == 0 or side * side != len(tx) or tx.shape != rx.shape:
+def _grid_axes(array: PlanarArray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The axes (x, y, z) when antenna (n, m) of `array` sits at (x[n], y[m], z) bit
+    for bit; None otherwise."""
+    side = math.isqrt(len(array.positions))
+    if side == 0 or side * side != len(array.positions):
         return None
-    c = tx[:side, 1]
-    x, y = np.meshgrid(c, c, indexing="ij")
-    grid = np.column_stack([x.ravel(), y.ravel()])
-    same_grid = np.array_equal(tx[:, :2], grid) and np.array_equal(rx[:, :2], grid)
-    planar = (tx[:, 2] == tx[0, 2]).all() and (rx[:, 2] == rx[0, 2]).all()
-    centred = np.array_equal(c, -c[::-1])
-    return c if same_grid and planar and centred else None
+    grid = array.positions.reshape(side, side, 3)
+    x, y, z = grid[:, 0, 0], grid[0, :, 1], grid[0, 0, 2]
+    on_grid = (grid[..., 0] == x[:, None]).all() and (grid[..., 1] == y).all()
+    return (x, y, z) if on_grid and (grid[..., 2] == z).all() else None
+
+
+def _shared_grid(tx_axes, rx_axes) -> np.ndarray | None:
+    """The 1-D coordinates c when both grids' x and y axes are c and c == -c[::-1]
+    bit for bit; None otherwise."""
+    c = tx_axes[0]
+    shared = all(np.array_equal(c, axis) for axis in (tx_axes[1], *rx_axes[:2]))
+    return c if shared and np.array_equal(c, -c[::-1]) else None
+
+
+def _distance(dx2: np.ndarray, dy2: np.ndarray, dz: float) -> np.ndarray:
+    """sqrt((dx2 + dy2) + dz^2), broadcast, in np.linalg.norm's order, in one new array."""
+    r = np.add(dx2, dy2)
+    r += dz * dz
+    return np.sqrt(r, out=r)
 
 
 def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
+    """-exp(i k r) / (4 pi r) in one new complex array, rounded as that expression
+    rounds it; overwrites r."""
     if not (r > 0).all():
         raise ValueError("coincident transmit/receive antennas")
-    return -np.exp(1j * wavenumber * r) / (4 * np.pi * r)
+    g = np.multiply(1j * wavenumber, r)
+    np.exp(g, out=g)
+    np.negative(g, out=g)
+    r *= 4 * np.pi
+    return np.divide(g, r, out=g)
+
+
+def _add_slabs(out: np.ndarray, gather: Callable[[slice], np.ndarray], add: bool) -> None:
+    """out += gather(:) if add, else out -= gather(:), one slab of rows of out at a
+    time, so no gathered slab holds more than _SLAB_BYTES and the addend is never
+    materialised whole."""
+    step = max(1, _SLAB_BYTES // max(1, out[:1].nbytes))
+    for start in range(0, len(out), step):
+        rows = slice(start, start + step)
+        (np.add if add else np.subtract)(out[rows], gather(rows), out=out[rows])
 
 
 def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
@@ -151,8 +185,8 @@ def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
     side = index.shape[0]
     half = (side + 1) // 2 if even else side // 2
     folded = values[..., index[:half, :half]]
-    # in place: the fold holds two arrays of its size, not three
-    (np.add if even else np.subtract)(folded, values[..., index[:half, ::-1][:, :half]], out=folded)
+    mirrored = index[:half, ::-1][:, :half]
+    _add_slabs(folded, lambda rows: values[rows][..., mirrored], even)
     if even and side % 2:
         folded[..., -1, :] *= 1 / math.sqrt(2)
         folded[..., -1] *= 1 / math.sqrt(2)
@@ -171,7 +205,7 @@ def _swap_parts(folded: np.ndarray) -> list[np.ndarray]:
     for symmetric in (True, False):
         k, i = np.triu_indices(folded.shape[0], 0 if symmetric else 1)
         part = folded[i[:, None], i, k[:, None], k]
-        (np.add if symmetric else np.subtract)(part, folded[i[:, None], k, k[:, None], i], out=part)
+        _add_slabs(part, lambda rows: folded[i[rows, None], k, k[rows, None], i], symmetric)
         if symmetric:
             diagonal = k == i
             part[diagonal] *= 1 / math.sqrt(2)
@@ -208,22 +242,29 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     the array ordering fixed by `geometry`'s PlanarArrays. A coaxial twin
     grid's matrix is gathered only when `entries` is read.
     """
-    c = _shared_grid(geometry)
-    if c is None:
+    tx, rx = _grid_axes(geometry.tx), _grid_axes(geometry.rx)
+    shape = (len(geometry.rx.positions), len(geometry.tx.positions))
+    k = geometry.wavenumber
+    c = None if tx is None or rx is None else _shared_grid(tx, rx)
+    if c is not None:
+        offsets = c[:, None] - c[None, :]
+        squares, index = np.unique(offsets * offsets, return_inverse=True)
+        table = _kernel(_distance(squares[:, None], squares[None, :], rx[2] - tx[2]), k)
+        side = c.size
+        index = index.reshape(side, side)
+
+        def gather():
+            return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
+
+        return ChannelMatrix(shape=shape, gather=gather, blocks=_parity_blocks(table, index))
+    if tx is None or rx is None:
         diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
-        entries = _kernel(np.linalg.norm(diff, axis=2), geometry.wavenumber)
-        entries.setflags(write=False)
-        return ChannelMatrix(entries=entries)
-    # r = sqrt((dx^2 + dy^2) + dz^2), summed in np.linalg.norm's order
-    offsets = c[:, None] - c[None, :]
-    squares, index = np.unique(offsets * offsets, return_inverse=True)
-    dz = geometry.rx.positions[0, 2] - geometry.tx.positions[0, 2]
-    r = np.sqrt((squares[:, None] + squares[None, :]) + dz * dz)
-    table = _kernel(r, geometry.wavenumber)
-    side = c.size
-    index = index.reshape(side, side)
-
-    def gather():
-        return table[index[:, None, :, None], index[None, :, None, :]].reshape(side**2, side**2)
-
-    return ChannelMatrix(shape=(side**2, side**2), gather=gather, blocks=_parity_blocks(table, index))
+        r = np.linalg.norm(diff, axis=2)
+        del diff
+    else:
+        # r[a, b, n, m] for rx antenna (a, b) and tx antenna (n, m)
+        dx, dy = rx[0][:, None] - tx[0], rx[1][:, None] - tx[1]
+        r = _distance((dx * dx)[:, None, :, None], (dy * dy)[None, :, None, :], rx[2] - tx[2])
+    entries = _kernel(r, k).reshape(shape)
+    entries.setflags(write=False)
+    return ChannelMatrix(entries=entries)

@@ -109,6 +109,12 @@ class TestArrayGain:
         flat = array_gain(setup, (0, 0, SEP), GainMode.PHASE_ONLY)
         assert abs(exact - flat) / flat < 0.01
 
+    def test_fresnel_steering_cancels_the_expanded_phase_at_the_focus(self):
+        setup = make_focus_setup(make_system(side=5, spacing=0.02))
+        assert not setup.fresnel_phases.flags.writeable
+        # the stored steering is the exact negative of the probe's expanded phase
+        assert array_gain(setup, (0, 0, SEP), GainMode.FRESNEL) == 25
+
     def test_unknown_mode_rejected(self):
         setup = make_focus_setup(make_system(side=2, spacing=0.01))
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nfmimo import experiments
+from nfmimo import channel, experiments
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel, greens
 from nfmimo.experiments import SystemParams, coaxial_system, point_metrics
 from nfmimo.beamfocus import spacing_threshold
@@ -126,7 +127,8 @@ def dense_entries(geo):
 
 @pytest.fixture
 def norm_shapes(monkeypatch):
-    """Shapes passed to np.linalg.norm; of the two assemblies only the dense one calls it."""
+    """Shapes passed to np.linalg.norm; of the three assemblies (grid, coaxial D4 and
+    per-pair) only the per-pair one calls it."""
     shapes = []
     norm = np.linalg.norm
 
@@ -175,34 +177,10 @@ class TestGatheredAssembly:
         assert np.array_equal(t, t.transpose(1, 0, 3, 2))
         assert np.array_equal(t, t[:, ::-1, :, ::-1])
 
-    TILT = np.outer(np.arange(9), (0.0, 0.0, 1e-3))
-    # (arrays moved, shift of their positions); side_count and spacing stay those of the grid
-    MOVED = {
-        "shifted_rx": (("rx",), (0.004, -0.002, 0.0)),
-        "shifted_tx": (("tx",), (0.004, 0.0, 0.0)),
-        # still one shared grid, but no longer centred
-        "shifted_both": (("tx", "rx"), (0.004, 0.004, 0.0)),
-        "tilted_rx": (("rx",), TILT),
-        "tilted_tx": (("tx",), TILT),
-    }
-
-    @pytest.mark.parametrize("case", [*MOVED, "unequal_sides"])
+    @pytest.mark.parametrize("case", ["tilted_rx", "tilted_tx", "jittered_rx", "jittered_tx"])
     def test_other_geometries_take_the_dense_path(self, norm_shapes, case):
-        arrays = {
-            "tx": build_upa(3, 0.006, 0.0),
-            "rx": build_upa(2 if case == "unequal_sides" else 3, 0.006, 0.15),
-        }
-        names, shift = self.MOVED.get(case, ((), None))
-        for name in names:
-            grid = arrays[name]
-            arrays[name] = PlanarArray(
-                side_count=grid.side_count,
-                spacing=grid.spacing,
-                plane_offset=grid.plane_offset,
-                positions=grid.positions + shift,
-            )
-        tx, rx = arrays["tx"], arrays["rx"]
-        geo = SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
+        geo = moved_system(case)
+        tx, rx = geo.tx, geo.rx
         ch = build_channel(geo)
         entries = ch.entries
         assert norm_shapes == [(rx.size, tx.size, 3)]
@@ -211,6 +189,109 @@ class TestGatheredAssembly:
         for i, rp in enumerate(rx.positions):
             for j, sp_ in enumerate(tx.positions):
                 assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
+
+
+TILT = np.outer(np.arange(9), (0.0, 0.0, 1e-3))
+# the centre antenna off its grid line by 1 nm, along x or along y
+JITTER_X, JITTER_Y = np.zeros((9, 3)), np.zeros((9, 3))
+JITTER_X[4, 0] = JITTER_Y[4, 1] = 1e-9
+# (arrays moved, shift of their positions); side_count and spacing stay those of the grid
+MOVED = {
+    "shifted_rx": (("rx",), (0.004, -0.002, 0.0)),
+    "shifted_tx": (("tx",), (0.004, 0.0, 0.0)),
+    # still one shared grid, but no longer centred
+    "shifted_both": (("tx", "rx"), (0.004, 0.004, 0.0)),
+    "tilted_rx": (("rx",), TILT),
+    "tilted_tx": (("tx",), TILT),
+    "jittered_rx": (("rx",), JITTER_X),
+    "jittered_tx": (("tx",), JITTER_Y),
+}
+
+
+def moved_system(case):
+    """A 3 x 3 transmit and a 3 x 3 (2 x 2 for "unequal_sides") receive UPA, 0.006 m
+    apart in-plane and 0.15 m between planes; the arrays MOVED[case] names are shifted
+    by its shift."""
+    arrays = {
+        "tx": build_upa(3, 0.006, 0.0),
+        "rx": build_upa(2 if case == "unequal_sides" else 3, 0.006, 0.15),
+    }
+    names, shift = MOVED.get(case, ((), None))
+    for name in names:
+        arrays[name] = shifted(arrays[name], shift)
+    return SystemGeometry(tx=arrays["tx"], rx=arrays["rx"], wavelength=0.01)
+
+
+def shifted(array, shift):
+    """`array` with its positions moved by `shift`; side_count and spacing unchanged."""
+    return PlanarArray(
+        side_count=array.side_count,
+        spacing=array.spacing,
+        plane_offset=array.plane_offset,
+        positions=array.positions + shift,
+    )
+
+
+class TestGridAssembly:
+    """Any two grid arrays, antenna (n, m) at (x[n], y[m], z), are assembled from their
+    squared 1-D offset tables, bit for bit, with no np.linalg.norm call."""
+
+    @pytest.mark.parametrize("case", ["shifted_rx", "shifted_tx", "shifted_both", "unequal_sides"])
+    def test_grids_take_the_grid_path(self, norm_shapes, case):
+        geo = moved_system(case)
+        tx, rx = geo.tx, geo.rx
+        ch = build_channel(geo)
+        entries = ch.entries
+        assert norm_shapes == []
+        assert ch.blocks == ()
+        assert entries.shape == (rx.size, tx.size)
+        assert not entries.flags.writeable
+        assert np.array_equal(entries, dense_entries(geo))
+        for i, rp in enumerate(rx.positions):
+            for j, sp_ in enumerate(tx.positions):
+                assert entries[i, j] == pytest.approx(greens(rp, sp_, 0.01), rel=1e-12)
+
+    @given(
+        tx_side=st.integers(min_value=1, max_value=12),
+        rx_side=st.integers(min_value=1, max_value=12),
+        tx_spacing=st.floats(min_value=1e-4, max_value=10.0),
+        rx_spacing=st.floats(min_value=1e-4, max_value=10.0),
+        offset_x=st.floats(min_value=-50.0, max_value=50.0),
+        offset_y=st.floats(min_value=-50.0, max_value=50.0),
+        separation=st.floats(min_value=1e-2, max_value=1e3),
+        wavelength=st.floats(min_value=1e-3, max_value=1.0),
+        plane_offset=st.floats(min_value=-100.0, max_value=100.0),
+    )
+    @example(
+        tx_side=16, rx_side=24, tx_spacing=0.13, rx_spacing=0.13, offset_x=0.0, offset_y=0.0,
+        separation=40.0, wavelength=0.01, plane_offset=0.0,
+    )
+    def test_grid_pairs_are_bit_identical_to_dense(
+        self, tx_side, rx_side, tx_spacing, rx_spacing, offset_x, offset_y, separation,
+        wavelength, plane_offset,
+    ):
+        tx = build_upa(tx_side, tx_spacing, plane_offset)
+        grid = build_upa(rx_side, rx_spacing, plane_offset + separation)
+        rx = shifted(grid, (offset_x, offset_y, 0.0))
+        geo = SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
+        assert np.array_equal(build_channel(geo).entries, dense_entries(geo))
+
+    def test_grid_build_peaks_within_two_and_a_half_entries(self):
+        # the grid assembly holds one float and one complex N_R x N_S array (1.5 x the
+        # entries' bytes, plus the r > 0 mask); the per-pair assembly's N_R x N_S x 3
+        # difference and its squares peak at 4.00 x
+        tx = build_upa(20, 0.006, 0.0)
+        rx = shifted(build_upa(16, 0.008, 0.3), (0.011, -0.007, 0.0))
+        geo = SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ch = build_channel(geo)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ch.entries.shape == (256, 400)
+        assert peak <= 2.5 * ch.entries.nbytes
 
 
 class TestLazyEntries:
@@ -332,6 +413,15 @@ class TestBlocks:
             if symmetric is not None:
                 q = q @ swap_basis(px.shape[1], symmetric)
             np.testing.assert_allclose(block, q.T @ ch.entries @ q, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("side", [7, 8])
+    def test_blocks_do_not_depend_on_the_slab_size(self, monkeypatch, side):
+        # every fold below S = 25 is one slab; one row per slab must give the same bits
+        geo = make_system(side=side, spacing=0.013, separation=3.7)
+        whole = build_channel(geo).blocks
+        monkeypatch.setattr(channel, "_SLAB_BYTES", 1)
+        for (a, m), (b, n) in zip(whole, build_channel(geo).blocks, strict=True):
+            assert m == n and a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "blocks",
