@@ -54,11 +54,12 @@ FLAGS = {
     "side_count": "antennas per side",
     "spacing": "antenna spacing (meters or e.g. 0.5lambda)",
     "separation": "plane separation (meters or e.g. 4000lambda)",
-    "energy_fraction": None,
+    "energy_fraction": "fraction of the Gram energy the exact EDoF captures (default 0.999)",
     "power": "total transmit power at unit noise variance",
     "output": "output file path",
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
+VALIDATE_FLAGS = ("wavelength", "side_count", "separation")  # validate sweeps the spacing
 
 DEFAULTS = {
     "wavelength": 0.01,
@@ -79,6 +80,15 @@ def _number(name, value, kind):
     return value
 
 
+def _read_json(path):
+    """Decode a JSON file; nesting too deep for the decoder is malformed input too."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_config(args) -> tuple[SystemParams, str | None]:
     """Merge defaults, an optional JSON config file and flag overrides.
 
@@ -87,8 +97,7 @@ def load_config(args) -> tuple[SystemParams, str | None]:
     """
     merged = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError("a config file must hold a JSON object")
         unknown = set(data) - set(FLAGS)
@@ -169,8 +178,7 @@ def cmd_sweep(args) -> int:
         kind, payload, notes = experiments.load_preset(target)
         default_output = f"{target}.csv"
     else:
-        with open(target) as fh:
-            data = json.load(fh)
+        data = _read_json(target)
         kind = "sweep"
         payload = experiments.SweepSpec.from_dict(data)
         notes = data.get("notes")
@@ -220,12 +228,14 @@ def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
 def cmd_validate(params: SystemParams) -> int:
     d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
-    report = experiments.validate_closed_form(
-        [params.side_count], grid, params.wavelength, params.separation
+    fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
+    error = experiments.validate_closed_form(
+        experiments.SweepSpec(swept_variable="spacing", grid=grid, **fixed)
     )
-    print(f"max normalized closed-form error: {report['max_normalized_error']:.4g}")
-    print("PASS" if report["passes"] else "FAIL")
-    return EXIT_OK if report["passes"] else EXIT_VALIDATION
+    passes = error <= experiments.CLOSED_FORM_TOLERANCE
+    print(f"max normalized closed-form error: {error:.4g}")
+    print("PASS" if passes else "FAIL")
+    return EXIT_OK if passes else EXIT_VALIDATION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = add_parser(
         "gainmap", "focal-spot gain map over the receive plane", (*SYSTEM_FLAGS, "output")
     )
-    p_map.add_argument("--mode", choices=[m.value for m in GainMode], default="phase_only")
+    modes = [m.value for m in GainMode]
+    p_map.add_argument("--mode", choices=modes, default="phase_only", help="gain model")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
     p_map.add_argument("--points", type=int, default=41, help="probes per axis")
 
-    validate_flags = ("wavelength", "side_count", "separation")
-    add_parser("validate", "check the closed-form gain against the phasor sum", validate_flags)
+    add_parser("validate", "check the closed-form gain against the phasor sum", VALIDATE_FLAGS)
     return parser
 
 

@@ -13,7 +13,8 @@ reproductions only). The fringe EDoF estimate uses each array's cell area
 N d^2, with which it equals N at the spacing threshold.
 
 Every metric of one system comes from `point_metrics` on a validated
-`SystemParams`; a sweep point and the CLI's `report` share that path.
+`SystemParams`; a sweep point, the CLI's `report` and (its gain step only)
+`validate_closed_form` share that path.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ SWEPT_FIELD = {"spacing": "spacing", "antennas_per_side": "side_count", "separat
 SWEPT_VARIABLES = tuple(SWEPT_FIELD)
 MAX_GRID_POINTS = 200
 DEFAULT_FOCUSED_SNR_DB = 10.0
+CLOSED_FORM_TOLERANCE = 0.05  # of validate_closed_form's normalized error
 
 
 class SweepError(RuntimeError):
@@ -201,6 +203,18 @@ def coaxial_system(
     return SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
 
 
+def _gains(p: SystemParams, geometry: SystemGeometry) -> dict:
+    """The gain step: rho1_closed, rho1_phase_only at the focus' neighbour (d, 0, L), epsilon."""
+    n = p.n_antennas
+    setup = beamfocus.make_focus_setup(geometry)
+    r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
+    return {
+        "rho1_closed": beamfocus.array_gain_closed_form(n, p.spacing, p.wavelength, p.separation),
+        "rho1_phase_only": beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY),
+        "epsilon": beamfocus.paraxial_parameter(n, p.spacing, p.wavelength, p.separation),
+    }
+
+
 def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
     """Every DoF / EDoF / gain / capacity metric of one system."""
     p = params
@@ -210,8 +224,6 @@ def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
     edof = sp.edof_report(spec_vals, area_tx, area_rx, p.wavelength, p.separation, p.energy_fraction)
 
     n = p.n_antennas
-    setup = beamfocus.make_focus_setup(geometry)
-    r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
     power = p.power if p.power is not None else auto_power(n, p.separation)
     n_values = spec_vals.values.size
 
@@ -224,13 +236,11 @@ def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
         n_edof_exact=edof.n_edof_exact,
         n_edof_fringes=edof.n_edof_fringes,
         n_edof_trace=edof.n_edof_trace,
-        rho1_closed=beamfocus.array_gain_closed_form(n, p.spacing, p.wavelength, p.separation),
-        rho1_phase_only=beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY),
         capacity_full=cap(),
         capacity_edof_exact=cap(edof.n_edof_exact),
         capacity_edof_fringes=cap(_estimator_truncation(edof.n_edof_fringes, n_values)),
         capacity_edof_trace=cap(_estimator_truncation(edof.n_edof_trace, n_values)),
-        epsilon=beamfocus.paraxial_parameter(n, p.spacing, p.wavelength, p.separation),
+        **_gains(p, geometry),
     )
 
 
@@ -246,49 +256,28 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def eigen_profile(geometry: SystemGeometry) -> list[tuple[int, float]]:
+def eigen_profile(params: SystemParams) -> list[tuple[int, float]]:
     """Full descending Gram spectrum with 1-based indices."""
+    p = params
+    geometry = coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength)
     spec_vals = sp.eigen_spectrum(build_channel(geometry))
     return [(i + 1, float(v)) for i, v in enumerate(spec_vals.values)]
 
 
-def validate_closed_form(n_side_values, spacing_grid, wavelength, separation) -> dict:
-    """Compare the Dirichlet closed form against the phase-only double sum.
-
-    For each (side_count, spacing) pair reports |rho1_closed -
-    rho1_phase_only| / N; passes when the worst error over points with
-    epsilon <= 1 stays within 0.05. The grid must stay in the paraxial
-    regime (epsilon <= 1.2).
-    """
-    rows = []
-    for side in n_side_values:
-        n = side * side
-        for d in spacing_grid:
-            eps = beamfocus.paraxial_parameter(n, d, wavelength, separation)
-            if eps > 1.2:
-                raise ValueError(
-                    f"grid point side={side}, spacing={d} has epsilon={eps:.3f} > 1.2"
-                )
-            closed = beamfocus.array_gain_closed_form(n, d, wavelength, separation)
-            setup = beamfocus.make_focus_setup(coaxial_system(side, d, separation, wavelength))
-            phase_only = beamfocus.array_gain(setup, (d, 0.0, separation), GainMode.PHASE_ONLY)
-            rows.append(
-                {
-                    "side_count": side,
-                    "spacing": d,
-                    "epsilon": eps,
-                    "rho1_closed": closed,
-                    "rho1_phase_only": phase_only,
-                    "normalized_error": abs(closed - phase_only) / n,
-                }
+def validate_closed_form(spec: SweepSpec) -> float:
+    """Worst |rho1_closed - rho1_phase_only| / N over the grid points with epsilon <= 1, or 0
+    if none; a point with epsilon > 1.2, beyond the paraxial regime, raises ValueError."""
+    errors = []
+    for value in spec.grid:
+        p = spec.at(value)
+        gains = _gains(p, coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength))
+        if gains["epsilon"] > 1.2:
+            raise ValueError(
+                f"grid point {spec.swept_variable}={value} has epsilon={gains['epsilon']:.3f} > 1.2"
             )
-    paraxial = [r["normalized_error"] for r in rows if r["epsilon"] <= 1.0]
-    max_err = max(paraxial) if paraxial else 0.0
-    return {
-        "max_normalized_error": max_err,
-        "passes": max_err <= 0.05,
-        "rows": rows,
-    }
+        if gains["epsilon"] <= 1.0:
+            errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
+    return max(errors) if errors else 0.0
 
 
 def write_sweep_csv(records, path, spec: SweepSpec, notes=None) -> None:
@@ -397,10 +386,10 @@ def _preset_xl() -> tuple[SweepSpec, dict]:
     return spec, notes
 
 
-def _profile_spec(spacing_factor: float) -> SystemGeometry:
+def _profile_spec(spacing_factor: float) -> SystemParams:
     lam, sep, side = 0.01, 40.0, 25
     d = spacing_factor * beamfocus.spacing_threshold(side**2, lam, sep)
-    return coaxial_system(side, d, sep, lam)
+    return SystemParams(wavelength=lam, side_count=side, spacing=d, separation=sep)
 
 
 SWEEP_PRESETS = {
@@ -423,7 +412,7 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str):
-    """Return ("sweep", SweepSpec, notes) or ("profile", SystemGeometry, notes)."""
+    """Return ("sweep", SweepSpec, notes) or ("profile", SystemParams, {})."""
     if name in SWEEP_PRESETS:
         spec, notes = SWEEP_PRESETS[name]()
         return "sweep", spec, notes

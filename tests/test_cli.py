@@ -259,6 +259,15 @@ class TestInputChecks:
         assert main(["report", "--config", str(cfg), "--spacing", "1lambda"]) == EXIT_VALIDATION
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["report --config", "sweep"])
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        # deep enough that the JSON decoder raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([*command.split(), str(deep)]) == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == [deep]
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -438,6 +447,13 @@ def test_subcommand_flags():
     }
     assert dests == expected
     assert sum(map(len, dests.values())) == 29
+
+
+def test_every_flag_has_help():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            assert action.help, f"{name} {action.dest}"
 
 
 def test_report_is_the_one_point_sweep(capsys):

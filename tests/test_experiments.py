@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfmimo import experiments
-from nfmimo.channel import SystemGeometry
 from nfmimo.experiments import (
+    CLOSED_FORM_TOLERANCE,
     RECORD_FIELDS,
     SweepError,
     SweepSpec,
+    SystemParams,
     eigen_profile,
     load_preset,
     preset_names,
@@ -18,7 +19,6 @@ from nfmimo.experiments import (
     write_profile_csv,
     write_sweep_csv,
 )
-from nfmimo.geometry import build_upa
 
 LAM = 0.01
 
@@ -199,26 +199,23 @@ class TestRunSweep:
 
 class TestEigenProfile:
     def test_single_antenna_single_point(self):
-        tx = build_upa(1, 0.0, 0.0)
-        rx = build_upa(1, 0.0, 0.5)
-        profile = eigen_profile(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
+        params = SystemParams(wavelength=LAM, side_count=1, spacing=0.01, separation=0.5)
+        profile = eigen_profile(params)
         assert len(profile) == 1
         assert profile[0][0] == 1
         assert profile[0][1] == pytest.approx(1 / (4 * np.pi * 0.5) ** 2)
 
     def test_descending_with_one_based_indices(self):
-        tx = build_upa(3, 0.02, 0.0)
-        rx = build_upa(3, 0.02, 1.0)
-        profile = eigen_profile(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
+        params = SystemParams(wavelength=LAM, side_count=3, spacing=0.02, separation=1.0)
+        profile = eigen_profile(params)
         indices = [i for i, _ in profile]
         values = [v for _, v in profile]
         assert indices == list(range(1, 10))
         assert values == sorted(values, reverse=True)
 
     def test_profile_csv(self, tmp_path):
-        tx = build_upa(2, 0.02, 0.0)
-        rx = build_upa(2, 0.02, 1.0)
-        profile = eigen_profile(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
+        params = SystemParams(wavelength=LAM, side_count=2, spacing=0.02, separation=1.0)
+        profile = eigen_profile(params)
         path = tmp_path / "profile.csv"
         write_profile_csv(profile, path)
         lines = path.read_text().strip().split("\n")
@@ -226,22 +223,28 @@ class TestEigenProfile:
         assert len(lines) == 5
 
 
+def spacing_spec(side_count, grid, separation):
+    return SweepSpec(
+        swept_variable="spacing",
+        grid=grid,
+        wavelength=LAM,
+        side_count=side_count,
+        separation=separation,
+    )
+
+
 class TestValidateClosedForm:
     def test_single_antenna_error_is_zero(self):
-        report = validate_closed_form([1], [0.01], LAM, 1.0)
-        assert report["max_normalized_error"] == pytest.approx(0.0, abs=1e-12)
-        assert report["passes"]
+        error = validate_closed_form(spacing_spec(1, [0.01], 1.0))
+        assert error == pytest.approx(0.0, abs=1e-12)
 
     def test_paraxial_grid_passes(self):
-        sep = 40.0
         grid = [f * 0.1265 for f in (0.3, 0.6, 0.9)]
-        report = validate_closed_form([25], grid, LAM, sep)
-        assert report["passes"]
-        assert report["max_normalized_error"] <= 0.05
+        assert validate_closed_form(spacing_spec(25, grid, 40.0)) <= CLOSED_FORM_TOLERANCE
 
     def test_rejects_non_paraxial_grid(self):
         with pytest.raises(ValueError):
-            validate_closed_form([25], [0.2], LAM, 40.0)  # epsilon = 2.5
+            validate_closed_form(spacing_spec(25, [0.2], 40.0))  # epsilon = 2.5
 
 
 class TestPresets:
@@ -276,9 +279,9 @@ class TestPresets:
         assert spec.spacing == pytest.approx(np.sqrt(LAM * 40.0 / 100), rel=1e-12)
 
     def test_fig7_fig8_profiles(self):
-        kind7, geo7, _ = load_preset("fig7")
-        kind8, geo8, _ = load_preset("fig8")
+        kind7, params7, _ = load_preset("fig7")
+        kind8, params8, _ = load_preset("fig8")
         assert kind7 == kind8 == "profile"
         d_th = np.sqrt(LAM * 40.0 / 25)
-        assert geo7.tx.spacing == pytest.approx(0.8 * d_th)
-        assert geo8.tx.spacing == pytest.approx(1.5 * d_th)
+        assert params7.spacing == pytest.approx(0.8 * d_th)
+        assert params8.spacing == pytest.approx(1.5 * d_th)

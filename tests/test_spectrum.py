@@ -89,9 +89,7 @@ class TestEigenSpectrum:
 def preset_systems(name):
     """Every geometry a figure preset computes: each sweep point, or the one profile."""
     kind, payload, _ = load_preset(name)
-    if kind == "profile":
-        return [payload]
-    points = [payload.at(v) for v in payload.grid]
+    points = [payload] if kind == "profile" else [payload.at(v) for v in payload.grid]
     return [coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength) for p in points]
 
 
