@@ -36,7 +36,6 @@ class FocusSetup:
     the Fresnel-expanded ones that fresnel-mode gains use."""
 
     geometry: SystemGeometry
-    focus_point: np.ndarray
     phases: np.ndarray
     fresnel_phases: np.ndarray
 
@@ -69,9 +68,9 @@ def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
     phases = focusing_phases(geometry, fp)
     fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, geometry.wavenumber)
-    for array in (fp, phases, fresnel_phases):
+    for array in (phases, fresnel_phases):
         array.setflags(write=False)
-    return FocusSetup(geometry=geometry, focus_point=fp, phases=phases, fresnel_phases=fresnel_phases)
+    return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)
 
 
 def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_ONLY) -> float:

@@ -174,19 +174,18 @@ def cmd_report(params: SystemParams, as_json: bool, output: str | None) -> int:
 
 def cmd_sweep(args) -> int:
     target = args.preset
-    if target in experiments.preset_names():
-        kind, payload, notes = experiments.load_preset(target)
+    if target in experiments.PRESETS:
+        payload, notes = experiments.load_preset(target)
         default_output = f"{target}.csv"
     else:
         data = _read_json(target)
-        kind = "sweep"
         payload = experiments.SweepSpec.from_dict(data)
         notes = data.get("notes")
         stem = os.path.splitext(target)[0]
         default_output = f"{stem}.out.csv"
     output = args.output or default_output
 
-    if kind == "profile":
+    if not isinstance(payload, experiments.SweepSpec):
         _check_outputs(output)
         profile = experiments.eigen_profile(payload)
         experiments.write_profile_csv(profile, output)
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a preset or spec-file sweep to CSV")
-    p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.preset_names())}) or spec file")
+    p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.PRESETS)}) or spec file")
     p_sweep.add_argument("--output", help="output CSV path")
 
     p_map = add_parser(
@@ -296,12 +295,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(params)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (np.linalg.LinAlgError, experiments.SweepError) as exc:
+    # LinAlgError is a ValueError, so the numerical handler comes first
+    except (np.linalg.LinAlgError, ArithmeticError, experiments.SweepError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -311,111 +311,74 @@ def write_profile_csv(profile, path) -> None:
             fh.write(f"{idx},{val:.17g}\n")
 
 
-def _fig5_grid(wavelength: float, separation: float, side_count: int):
-    # quarter-wavelength steps plus the exact threshold point: the
-    # half-wavelength grid misses the EDoF peak and aliases the secondary
-    # gain null near epsilon = 2 into a spurious global maximum
-    grid = set((np.arange(8, 80.001, 1) * 0.25 * wavelength).tolist())
-    grid.add(beamfocus.spacing_threshold(side_count**2, wavelength, separation))
-    return tuple(sorted(grid))
-
-
-def _preset_fig2() -> tuple[SweepSpec, dict]:
-    notes = {
-        "inferred": "wavelength and separation are not given for this figure; "
-        "the fig5 values (0.01 m, 40 m) are used"
-    }
-    spec = SweepSpec(
-        swept_variable="antennas_per_side",
-        grid=(5, 10, 20, 40),
-        wavelength=0.01,
-        spacing=0.005,
-        separation=40.0,
-    )
-    return spec, notes
-
-
-def _preset_fig3() -> tuple[SweepSpec, dict]:
-    # 20 x 20 arrays with the spacing threshold at 3.2 lambda fixes
-    # L = sqrt(N) d_threshold^2 / lambda = 2.048 m
-    lam = 0.01
-    sep = 20 * (3.2 * lam) ** 2 / lam
-    notes = {
-        "inferred": "separation is not given for this figure; it is derived from "
-        "the stated threshold d = 3.2 lambda for 20x20 arrays (L = 2.048 m)"
-    }
-    spec = SweepSpec(
-        swept_variable="spacing",
-        grid=tuple((np.arange(4, 20.001, 1) * 0.25 * lam).tolist()),
-        wavelength=lam,
-        side_count=20,
-        separation=sep,
-    )
-    return spec, notes
-
-
-def _preset_fig5() -> tuple[SweepSpec, dict]:
-    lam, sep, side = 0.01, 40.0, 25
-    notes = {
+# The fig5 system, which fig5 to fig9 use: 25 x 25 UPAs at wavelength 0.01 m and separation 40 m
+_FIG5_SYSTEM = {"wavelength": 0.01, "side_count": 25, "separation": 40.0}
+_FIG5_THRESHOLD = beamfocus.spacing_threshold(25**2, 0.01, 40.0)
+# quarter-wavelength steps plus the exact threshold point: the half-wavelength grid misses the
+# EDoF peak and aliases the secondary gain null near epsilon = 2 into a spurious global maximum
+_FIG5_GRID = tuple(sorted({*(np.arange(8, 80.001, 1) * 0.25 * 0.01).tolist(), _FIG5_THRESHOLD}))
+_FIG5 = (
+    SweepSpec(swept_variable="spacing", grid=_FIG5_GRID, **_FIG5_SYSTEM),
+    {
         "grid": "0.25 lambda steps over [2, 20] lambda plus the exact threshold "
         "spacing, so the sweep samples the predicted EDoF peak"
-    }
-    spec = SweepSpec(
-        swept_variable="spacing",
-        grid=_fig5_grid(lam, sep, side),
-        wavelength=lam,
-        side_count=side,
-        separation=sep,
-    )
-    return spec, notes
+    },
+)
 
-
-def _preset_xl() -> tuple[SweepSpec, dict]:
-    lam, sep, largest = 0.01, 40.0, 100
-    notes = {
-        "grid": "the fig5 wavelength and separation at spacing sqrt(lambda L / 100) = 6.32 "
-        "lambda, the threshold of the largest array, 100 x 100"
-    }
-    spec = SweepSpec(
-        swept_variable="antennas_per_side",
-        grid=(25, 50, 75, largest),
-        wavelength=lam,
-        spacing=beamfocus.spacing_threshold(largest**2, lam, sep),
-        separation=sep,
-    )
-    return spec, notes
-
-
-def _profile_spec(spacing_factor: float) -> SystemParams:
-    lam, sep, side = 0.01, 40.0, 25
-    d = spacing_factor * beamfocus.spacing_threshold(side**2, lam, sep)
-    return SystemParams(wavelength=lam, side_count=side, spacing=d, separation=sep)
-
-
-SWEEP_PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig5,
-    "fig9": _preset_fig5,
-    "xl": _preset_xl,
+# name -> (payload, notes), built once: a SweepSpec runs as a sweep and a plain
+# SystemParams gives its eigenvalue profile; fig6 and fig9 are the fig5 sweep
+PRESETS = {
+    "fig2": (
+        SweepSpec(
+            swept_variable="antennas_per_side",
+            grid=(5, 10, 20, 40),
+            wavelength=0.01,
+            spacing=0.005,
+            separation=40.0,
+        ),
+        {
+            "inferred": "wavelength and separation are not given for this figure; "
+            "the fig5 values (0.01 m, 40 m) are used"
+        },
+    ),
+    # 20 x 20 arrays with the spacing threshold at 3.2 lambda fixes
+    # L = sqrt(N) d_threshold^2 / lambda = 2.048 m
+    "fig3": (
+        SweepSpec(
+            swept_variable="spacing",
+            grid=tuple((np.arange(4, 20.001, 1) * 0.25 * 0.01).tolist()),
+            wavelength=0.01,
+            side_count=20,
+            separation=20 * (3.2 * 0.01) ** 2 / 0.01,
+        ),
+        {
+            "inferred": "separation is not given for this figure; it is derived from "
+            "the stated threshold d = 3.2 lambda for 20x20 arrays (L = 2.048 m)"
+        },
+    ),
+    "fig5": _FIG5,
+    "fig6": _FIG5,
+    "fig7": (SystemParams(spacing=0.8 * _FIG5_THRESHOLD, **_FIG5_SYSTEM), {}),
+    "fig8": (SystemParams(spacing=1.5 * _FIG5_THRESHOLD, **_FIG5_SYSTEM), {}),
+    "fig9": _FIG5,
+    "xl": (
+        SweepSpec(
+            swept_variable="antennas_per_side",
+            grid=(25, 50, 75, 100),
+            wavelength=0.01,
+            spacing=beamfocus.spacing_threshold(100**2, 0.01, 40.0),
+            separation=40.0,
+        ),
+        {
+            "grid": "the fig5 wavelength and separation at spacing sqrt(lambda L / 100) = 6.32 "
+            "lambda, the threshold of the largest array, 100 x 100"
+        },
+    ),
 }
 
-PROFILE_PRESETS = {
-    "fig7": lambda: _profile_spec(0.8),
-    "fig8": lambda: _profile_spec(1.5),
-}
 
-
-def preset_names() -> list[str]:
-    return sorted(SWEEP_PRESETS) + sorted(PROFILE_PRESETS)
-
-
-def load_preset(name: str):
-    """Return ("sweep", SweepSpec, notes) or ("profile", SystemParams, {})."""
-    if name in SWEEP_PRESETS:
-        spec, notes = SWEEP_PRESETS[name]()
-        return "sweep", spec, notes
-    if name in PROFILE_PRESETS:
-        return "profile", PROFILE_PRESETS[name](), {}
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+def load_preset(name: str) -> tuple[SystemParams, dict]:
+    """The preset's (payload, notes): a SweepSpec, or SystemParams for a profile."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return PRESETS[name]

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nfmimo
@@ -210,6 +211,52 @@ class TestSweep:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 626
+
+
+class TestNumericalErrors:
+    """A numerical failure exits 2 with one `numerical error:` line and no traceback."""
+
+    def assert_numerical(self, code, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert len(err.splitlines()) == 1 and err.startswith("numerical error: ")
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("value", ["1e300", "1e-300"], ids=["overflow", "underflow"])
+    def test_threshold_out_of_float_range(self, capsys, value):
+        code = main(["threshold", "--wavelength", value, "--separation", value])
+        self.assert_numerical(code, capsys)
+
+    @pytest.fixture
+    def svd_fails(self, monkeypatch):
+        # a monkeypatch, since a real non-converging input also raises numpy warnings,
+        # which pytest turns into errors
+        def fail(params, swept_value):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(experiments, "point_metrics", fail)
+
+    def test_report_linalg_error(self, svd_fails, capsys):
+        # LinAlgError is a ValueError; it must not be reported as a validation failure
+        self.assert_numerical(main(["report"]), capsys, "SVD did not converge")
+
+    def test_spec_file_sweep_names_the_grid_value(self, svd_fails, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps(
+                {
+                    "swept_variable": "spacing",
+                    "grid": [0.005, 0.01],
+                    "wavelength": 0.01,
+                    "side_count": 2,
+                    "separation": 1.0,
+                }
+            )
+        )
+        code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
+        self.assert_numerical(code, capsys, "grid value 0.005")
 
 
 class TestGainmap:

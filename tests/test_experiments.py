@@ -12,8 +12,8 @@ from nfmimo.experiments import (
     SweepSpec,
     SystemParams,
     eigen_profile,
+    PRESETS,
     load_preset,
-    preset_names,
     run_sweep,
     validate_closed_form,
     write_profile_csv,
@@ -248,40 +248,55 @@ class TestValidateClosedForm:
 
 
 class TestPresets:
+    SWEEPS = ("fig2", "fig3", "fig5", "fig6", "fig9", "xl")
+    PROFILES = ("fig7", "fig8")
+
     def test_names(self):
-        assert set(preset_names()) == {"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "xl"}
+        assert list(PRESETS) == ["fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "xl"]
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="available: fig2, fig3, fig5, fig6, fig7, fig8, fig9, xl$"):
             load_preset("fig4")
 
+    def test_fig6_fig9_are_the_fig5_entry(self):
+        assert load_preset("fig6") is load_preset("fig5")
+        assert load_preset("fig9") is load_preset("fig5")
+
+    def test_payload_type_gives_the_output_kind(self):
+        for name in self.SWEEPS:
+            payload, notes = load_preset(name)
+            assert isinstance(payload, SweepSpec), name
+            assert notes, name
+        for name in self.PROFILES:
+            payload, notes = load_preset(name)
+            assert isinstance(payload, SystemParams), name
+            assert not isinstance(payload, SweepSpec), name
+            assert notes == {}, name
+
     def test_fig5_grid_contains_threshold(self):
-        kind, spec, _ = load_preset("fig5")
-        assert kind == "sweep"
+        spec, _ = load_preset("fig5")
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert any(abs(g - d_th) < 1e-12 for g in spec.grid)
         assert spec.grid[0] == pytest.approx(2 * LAM)
         assert spec.grid[-1] == pytest.approx(20 * LAM)
 
     def test_fig3_threshold_at_3p2_lambda(self):
-        _, spec, notes = load_preset("fig3")
+        spec, notes = load_preset("fig3")
         d_th = np.sqrt(spec.wavelength * spec.separation / spec.side_count)
         assert d_th == pytest.approx(3.2 * LAM, rel=1e-12)
         assert "inferred" in notes
 
     def test_xl_largest_array_sits_at_its_threshold(self):
         # the spec only: the 100 x 100 point takes about 22 s, so tier-1 never runs it
-        kind, spec, _ = load_preset("xl")
-        assert kind == "sweep"
+        spec, _ = load_preset("xl")
         assert spec.swept_variable == "antennas_per_side"
         assert spec.grid == (25, 50, 75, 100)
         assert (spec.wavelength, spec.separation) == (LAM, 40.0)
         assert spec.spacing == pytest.approx(np.sqrt(LAM * 40.0 / 100), rel=1e-12)
 
     def test_fig7_fig8_profiles(self):
-        kind7, params7, _ = load_preset("fig7")
-        kind8, params8, _ = load_preset("fig8")
-        assert kind7 == kind8 == "profile"
+        params7, _ = load_preset("fig7")
+        params8, _ = load_preset("fig8")
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert params7.spacing == pytest.approx(0.8 * d_th)
         assert params8.spacing == pytest.approx(1.5 * d_th)

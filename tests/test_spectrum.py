@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel
-from nfmimo.experiments import auto_power, coaxial_system, load_preset
+from nfmimo.experiments import SweepSpec, auto_power, coaxial_system, load_preset
 from nfmimo.geometry import PlanarArray, build_upa
 from nfmimo.spectrum import (
     capacity,
@@ -88,8 +88,8 @@ class TestEigenSpectrum:
 
 def preset_systems(name):
     """Every geometry a figure preset computes: each sweep point, or the one profile."""
-    kind, payload, _ = load_preset(name)
-    points = [payload] if kind == "profile" else [payload.at(v) for v in payload.grid]
+    payload, _ = load_preset(name)
+    points = [payload.at(v) for v in payload.grid] if isinstance(payload, SweepSpec) else [payload]
     return [coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength) for p in points]
 
 
