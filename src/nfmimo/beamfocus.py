@@ -150,7 +150,13 @@ def paraxial_parameter(
     side = _require_square(n_antennas)
     if not spacing > 0 or not wavelength > 0 or not separation > 0:
         raise ValueError("spacing, wavelength and separation must be positive")
-    return side * spacing**2 / (wavelength * separation)
+    try:
+        return side * spacing**2 / (wavelength * separation)
+    except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
+        raise ArithmeticError(
+            f"epsilon = sqrt(N) d^2 / (lambda L) leaves the float range at spacing {spacing!r} m, "
+            f"wavelength {wavelength!r} m and separation {separation!r} m"
+        ) from None
 
 
 def gain_map(setup: FocusSetup, probe_xy, mode: GainMode = GainMode.PHASE_ONLY):

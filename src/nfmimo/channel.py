@@ -138,12 +138,11 @@ def _grid_axes(array: PlanarArray) -> tuple[np.ndarray, np.ndarray, float] | Non
     return (x, y, z) if on_grid and (grid[..., 2] == z).all() else None
 
 
-def _shared_grid(tx_axes, rx_axes) -> np.ndarray | None:
-    """The 1-D coordinates c when both grids' x and y axes are c and c == -c[::-1]
-    bit for bit; None otherwise."""
+def _shared_grid(tx_axes, rx_axes) -> bool:
+    """Whether both grids' x and y axes are one c with c == -c[::-1], bit for bit."""
     c = tx_axes[0]
     shared = all(np.array_equal(c, axis) for axis in (tx_axes[1], *rx_axes[:2]))
-    return c if shared and np.array_equal(c, -c[::-1]) else None
+    return shared and np.array_equal(c, -c[::-1])
 
 
 def _distance(dx2: np.ndarray, dy2: np.ndarray, dz: float) -> np.ndarray:
@@ -245,26 +244,24 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     tx, rx = _grid_axes(geometry.tx), _grid_axes(geometry.rx)
     shape = (len(geometry.rx.positions), len(geometry.tx.positions))
     k = geometry.wavenumber
-    c = None if tx is None or rx is None else _shared_grid(tx, rx)
-    if c is not None:
-        offsets = c[:, None] - c[None, :]
-        squares, index = np.unique(offsets * offsets, return_inverse=True)
-        table = _kernel(_distance(squares[:, None], squares[None, :], rx[2] - tx[2]), k)
-        side = c.size
-        index = index.reshape(side, side)
-
-        def gather():
-            return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
-
-        return ChannelMatrix(shape=shape, gather=gather, blocks=_parity_blocks(table, index))
     if tx is None or rx is None:
         diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
         r = np.linalg.norm(diff, axis=2)
         del diff
     else:
-        # r[a, b, n, m] for rx antenna (a, b) and tx antenna (n, m)
+        # dx2[a, n] and dy2[b, m] for rx antenna (a, b) and tx antenna (n, m)
         dx, dy = rx[0][:, None] - tx[0], rx[1][:, None] - tx[1]
-        r = _distance((dx * dx)[:, None, :, None], (dy * dy)[None, :, None, :], rx[2] - tx[2])
+        dx2, dy2, dz = dx * dx, dy * dy, rx[2] - tx[2]
+        if _shared_grid(tx, rx):  # then dy2 == dx2
+            squares, index = np.unique(dx2, return_inverse=True)
+            table = _kernel(_distance(squares[:, None], squares[None, :], dz), k)
+            index = index.reshape(dx2.shape)
+
+            def gather():
+                return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
+
+            return ChannelMatrix(shape=shape, gather=gather, blocks=_parity_blocks(table, index))
+        r = _distance(dx2[:, None, :, None], dy2[None, :, None, :], dz)
     entries = _kernel(r, k).reshape(shape)
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -134,7 +135,17 @@ def _check_outputs(*paths) -> None:
         open(path, "a").close()
 
 
-def cmd_threshold(params: SystemParams) -> int:
+@contextlib.contextmanager
+def _input_accepted():
+    """A ValueError raised inside comes from computing on accepted input: a numerical failure."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ArithmeticError(exc) from exc
+
+
+def cmd_threshold(args) -> int:
+    params, _ = load_config(args)
     d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     eps = beamfocus.paraxial_parameter(
         params.n_antennas, params.spacing, params.wavelength, params.separation
@@ -150,12 +161,14 @@ REPORT_FIELDS = (
 )
 
 
-def cmd_report(params: SystemParams, as_json: bool, output: str | None) -> int:
+def cmd_report(args) -> int:
+    params, output = load_config(args)
     _check_outputs(output)
-    record = experiments.point_metrics(params, params.spacing)
+    with _input_accepted():
+        record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
-    if as_json:
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"n_dof           = {record.n_dof}")
@@ -174,7 +187,7 @@ def cmd_report(params: SystemParams, as_json: bool, output: str | None) -> int:
 
 def cmd_sweep(args) -> int:
     target = args.preset
-    if target in experiments.PRESETS:
+    if target in experiments.PRESETS or not os.path.exists(target):
         payload, notes = experiments.load_preset(target)
         default_output = f"{target}.csv"
     else:
@@ -199,7 +212,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
+def cmd_gainmap(args) -> int:
+    params, output = load_config(args)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.extent is None:
@@ -212,19 +226,18 @@ def cmd_gainmap(params: SystemParams, output: str | None, args) -> int:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     output = output or "gainmap.csv"
     _check_outputs(output)
-    geometry = coaxial_system(
-        params.side_count, params.spacing, params.separation, params.wavelength
-    )
-    setup = beamfocus.make_focus_setup(geometry)
     coords = np.linspace(-extent, extent, args.points)
     probes = [(x, y) for x in coords for y in coords]
-    rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
+    with _input_accepted():
+        setup = beamfocus.make_focus_setup(coaxial_system(params))
+        rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
     beamfocus.write_gain_map_csv(rows, output)
     print(f"wrote {len(rows)} probes to {output}")
     return EXIT_OK
 
 
-def cmd_validate(params: SystemParams) -> int:
+def cmd_validate(args) -> int:
+    params, _ = load_config(args)
     d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
     fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
@@ -252,49 +265,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, summary, flags):
+    def add_parser(name, run, summary, flags):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file")
         for dest in flags:
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest])
         return p
 
-    add_parser("threshold", "print the optimal spacing threshold", SYSTEM_FLAGS)
+    add_parser("threshold", cmd_threshold, "print the optimal spacing threshold", SYSTEM_FLAGS)
 
-    p_report = add_parser("report", "DoF/EDoF/capacity report for one configuration", FLAGS)
+    p_report = add_parser(
+        "report", cmd_report, "DoF/EDoF/capacity report for one configuration", FLAGS
+    )
     p_report.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a preset or spec-file sweep to CSV")
+    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.PRESETS)}) or spec file")
     p_sweep.add_argument("--output", help="output CSV path")
 
     p_map = add_parser(
-        "gainmap", "focal-spot gain map over the receive plane", (*SYSTEM_FLAGS, "output")
+        "gainmap", cmd_gainmap, "focal-spot gain map over the receive plane",
+        (*SYSTEM_FLAGS, "output"),
     )
     modes = [m.value for m in GainMode]
     p_map.add_argument("--mode", choices=modes, default="phase_only", help="gain model")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
     p_map.add_argument("--points", type=int, default=41, help="probes per axis")
 
-    add_parser("validate", "check the closed-form gain against the phasor sum", VALIDATE_FLAGS)
+    add_parser(
+        "validate", cmd_validate, "check the closed-form gain against the phasor sum",
+        VALIDATE_FLAGS,
+    )
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        params, output = load_config(args)
-        if args.command == "threshold":
-            return cmd_threshold(params)
-        if args.command == "report":
-            return cmd_report(params, args.json, output)
-        if args.command == "gainmap":
-            return cmd_gainmap(params, output, args)
-        if args.command == "validate":
-            return cmd_validate(params)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     # LinAlgError is a ValueError, so the numerical handler comes first
     except (np.linalg.LinAlgError, ArithmeticError, experiments.SweepError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -194,13 +194,11 @@ def _estimator_truncation(estimate: float, n_values: int) -> int:
     return min(n_values, max(1, math.ceil(estimate)))
 
 
-def coaxial_system(
-    side_count: int, spacing: float, separation: float, wavelength: float
-) -> SystemGeometry:
+def coaxial_system(params: SystemParams) -> SystemGeometry:
     """Two identical square UPAs, the transmitter at z = 0 and the receiver at z = separation."""
-    tx = build_upa(side_count, spacing, 0.0)
-    rx = build_upa(side_count, spacing, separation)
-    return SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
+    tx = build_upa(params.side_count, params.spacing, 0.0)
+    rx = build_upa(params.side_count, params.spacing, params.separation)
+    return SystemGeometry(tx=tx, rx=rx, wavelength=params.wavelength)
 
 
 def _gains(p: SystemParams, geometry: SystemGeometry) -> dict:
@@ -218,7 +216,7 @@ def _gains(p: SystemParams, geometry: SystemGeometry) -> dict:
 def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
     """Every DoF / EDoF / gain / capacity metric of one system."""
     p = params
-    geometry = coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength)
+    geometry = coaxial_system(p)
     spec_vals = sp.eigen_spectrum(build_channel(geometry))
     area_tx, area_rx = sp.plane_area(geometry.tx), sp.plane_area(geometry.rx)
     edof = sp.edof_report(spec_vals, area_tx, area_rx, p.wavelength, p.separation, p.energy_fraction)
@@ -251,16 +249,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         params = spec.at(value)  # cannot fail: the spec checked every grid value
         try:
             records.append(point_metrics(params, value))
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:  # np.linalg.LinAlgError included
             raise SweepError(value, exc) from exc
     return records
 
 
 def eigen_profile(params: SystemParams) -> list[tuple[int, float]]:
     """Full descending Gram spectrum with 1-based indices."""
-    p = params
-    geometry = coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength)
-    spec_vals = sp.eigen_spectrum(build_channel(geometry))
+    spec_vals = sp.eigen_spectrum(build_channel(coaxial_system(params)))
     return [(i + 1, float(v)) for i, v in enumerate(spec_vals.values)]
 
 
@@ -270,7 +266,7 @@ def validate_closed_form(spec: SweepSpec) -> float:
     errors = []
     for value in spec.grid:
         p = spec.at(value)
-        gains = _gains(p, coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength))
+        gains = _gains(p, coaxial_system(p))
         if gains["epsilon"] > 1.2:
             raise ValueError(
                 f"grid point {spec.swept_variable}={value} has epsilon={gains['epsilon']:.3f} > 1.2"

@@ -306,12 +306,13 @@ class TestLazyEntries:
 
         monkeypatch.setattr(experiments, "build_channel", recorded)
         d = spacing_threshold(625, 0.01, 40.0)
-        point_metrics(SystemParams(wavelength=0.01, side_count=25, spacing=d, separation=40.0), d)
+        params = SystemParams(wavelength=0.01, side_count=25, spacing=d, separation=40.0)
+        point_metrics(params, d)
         (ch,) = built
         assert "entries" not in vars(ch)
         assert ch.shape == (625, 625)
         entries = ch.entries
-        assert np.array_equal(entries, dense_entries(coaxial_system(25, d, 40.0, 0.01)))
+        assert np.array_equal(entries, dense_entries(coaxial_system(params)))
         assert not entries.flags.writeable
         assert ch.entries is entries
 

@@ -200,8 +200,11 @@ class TestSweep:
         assert written == [default_output]
 
     def test_unknown_preset(self, capsys):
+        # neither a preset nor an existing path
         assert main(["sweep", "fig4"]) == EXIT_VALIDATION
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'fig4'; available: fig2, fig3, fig5, fig6, fig7, fig8, fig9, xl\n"
+        )
 
     def test_profile_preset(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
@@ -227,7 +230,21 @@ class TestNumericalErrors:
     @pytest.mark.parametrize("value", ["1e300", "1e-300"], ids=["overflow", "underflow"])
     def test_threshold_out_of_float_range(self, capsys, value):
         code = main(["threshold", "--wavelength", value, "--separation", value])
-        self.assert_numerical(code, capsys)
+        self.assert_numerical(code, capsys, "epsilon", f"wavelength {float(value)!r} m")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["report"], "coincident transmit/receive antennas"),
+            (["gainmap", "--points", "2"], "focus point coincides with a transmit antenna"),
+        ],
+        ids=["report", "gainmap"],
+    )
+    def test_accepted_input_that_underflows(self, tmp_path, capsys, argv, message):
+        # every distance underflows to 0; no numpy warning, unlike an overflowing separation
+        flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--spacing", "1e-200"]
+        code = main([*argv, *flags, "--side-count", "2", "--output", str(tmp_path / "out")])
+        self.assert_numerical(code, capsys, message)
 
     @pytest.fixture
     def svd_fails(self, monkeypatch):

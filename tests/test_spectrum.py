@@ -90,7 +90,7 @@ def preset_systems(name):
     """Every geometry a figure preset computes: each sweep point, or the one profile."""
     payload, _ = load_preset(name)
     points = [payload.at(v) for v in payload.grid] if isinstance(payload, SweepSpec) else [payload]
-    return [coaxial_system(p.side_count, p.spacing, p.separation, p.wavelength) for p in points]
+    return [coaxial_system(p) for p in points]
 
 
 def dense_spectrum(ch):
@@ -153,7 +153,7 @@ class TestParityBlocks:
             (25, [(91, 91), (78, 78), (156, 156), (78, 78), (66, 66)]),
         ],
     )
-    def test_symmetric_channel_takes_three_block_svds(self, svd_shapes, side, blocks):
+    def test_symmetric_channel_takes_one_svd_per_d4_block(self, svd_shapes, side, blocks):
         ch = make_channel(side=side, spacing=0.1265, separation=40.0)
         spec = eigen_spectrum(ch)
         # a 0 x 0 block stands for an empty subspace (all but the even-even symmetric one at side 1)
