@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import SystemGeometry
+from .channel import SystemGeometry, _distance, _grid_axes
 
 
 class GainMode(Enum):
@@ -33,11 +33,19 @@ class GainMode(Enum):
 @dataclass(frozen=True)
 class FocusSetup:
     """Transmit phases steering a geometry toward a focus point: the exact ones, and
-    the Fresnel-expanded ones that fresnel-mode gains use."""
+    the Fresnel-expanded ones that fresnel-mode gains use.
+
+    When the transmit array is a grid, `tx_axes` holds its x and y axes, as
+    `channel._grid_axes` finds them, stacked into one (2, S) array, and its plane's z;
+    `fresnel_axis_phases` holds the Fresnel steering split the same way, -k x^2 / (2 Lz)
+    and -k y^2 / (2 Lz), without the common -k Lz. Both are None otherwise.
+    """
 
     geometry: SystemGeometry
     phases: np.ndarray
     fresnel_phases: np.ndarray
+    tx_axes: tuple[np.ndarray, float] | None
+    fresnel_axis_phases: np.ndarray | None
 
 
 def wrap_phase(phi):
@@ -63,14 +71,41 @@ def _fresnel_phase(points, probe, wavenumber):
     return wavenumber * (lz + lateral_sq / (2 * lz))
 
 
+def _fresnel_axis_phase(offset_sq, lz, wavenumber):
+    """One axis's share k d^2 / (2 Lz) of the Taylor-expanded phase."""
+    return wavenumber * (offset_sq / (2 * lz))
+
+
 def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
     fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
+    k = geometry.wavenumber
     phases = focusing_phases(geometry, fp)
-    fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, geometry.wavenumber)
-    for array in (phases, fresnel_phases):
-        array.setflags(write=False)
-    return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)
+    fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, k)
+    tx_axes = axis_phases = None
+    grid = _grid_axes(geometry.tx)
+    if grid is not None:
+        tx_axes = (np.stack(grid[:2]), grid[2])
+        # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
+        axis_phases = -_fresnel_axis_phase(tx_axes[0] * tx_axes[0], fp[2] - grid[2], k)
+    for array in (phases, fresnel_phases, axis_phases):
+        if array is not None:
+            array.setflags(write=False)
+    return FocusSetup(
+        geometry=geometry,
+        phases=phases,
+        fresnel_phases=fresnel_phases,
+        tx_axes=tx_axes,
+        fresnel_axis_phases=axis_phases,
+    )
+
+
+def _focused_gain(setup: FocusSetup, dist: np.ndarray, mode: GainMode) -> float:
+    """The exact or phase_only gain from the per-antenna distances, in `positions` order."""
+    phasors = np.exp(1j * (setup.geometry.wavenumber * dist + setup.phases))
+    if mode is GainMode.EXACT:
+        phasors *= setup.geometry.separation / dist
+    return float(np.abs(np.sum(phasors)) ** 2 / setup.geometry.tx.size)
 
 
 def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_ONLY) -> float:
@@ -85,27 +120,43 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
     probe = np.asarray(probe_point, dtype=float)
     if probe.shape != (3,) or not np.isfinite(probe).all():
         raise ValueError("probe_point must be a finite 3D point")
-    tx = setup.geometry.tx.positions
-    k = setup.geometry.wavenumber
-    n = setup.geometry.tx.size
+    if setup.tx_axes is None:
+        return _pair_gain(setup, probe, mode)
+    xy, z = setup.tx_axes
+    # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2
+    offsets = probe[:2, None] - xy
+    offsets *= offsets
+    dz = probe[2] - z
+    # the nearest antenna's squared distance: float addition is monotone
+    nearest = offsets.min(axis=1)
+    if not (nearest[0] + nearest[1]) + dz * dz > 0:
+        raise ValueError("probe point coincides with a transmit antenna")
+    if mode is not GainMode.FRESNEL:
+        # antenna (n, m) is row n * S + m, as in `positions`
+        dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
+        return _focused_gain(setup, dist, mode)
+    # the expanded phase is k Lz + a_n + b_m, so the phasor sum factors into
+    # one S-term sum per axis; the common phase k Lz - k L drops out of |.|^2
+    phases = _fresnel_axis_phase(offsets, dz, setup.geometry.wavenumber)
+    phases += setup.fresnel_axis_phases
+    axis_gains = np.abs(np.sum(np.exp(1j * phases), axis=1)) ** 2
+    return float(axis_gains[0] * axis_gains[1] / setup.geometry.tx.size)
 
+
+def _pair_gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
+    """array_gain for a transmit array that is not a grid: one np.linalg.norm over
+    every antenna, and the Fresnel phasor sum unfactored. The reference in the tests."""
+    tx = setup.geometry.tx.positions
     dist = np.linalg.norm(probe - tx, axis=1)
     if not (dist > 0).all():
         raise ValueError("probe point coincides with a transmit antenna")
-
-    if mode is GainMode.FRESNEL:
-        # expand both the propagation and the focusing phase, per the
-        # derivation regime; the stored exact phases are not used here
-        prop = _fresnel_phase(tx, probe, k)
-        steer = setup.fresnel_phases
-        amp = 1.0
-    else:
-        prop = k * dist
-        steer = setup.phases
-        amp = setup.geometry.separation / dist if mode is GainMode.EXACT else 1.0
-
-    total = np.sum(amp * np.exp(1j * (prop + steer)))
-    return float(np.abs(total) ** 2 / n)
+    if mode is not GainMode.FRESNEL:
+        return _focused_gain(setup, dist, mode)
+    # expand both the propagation and the focusing phase, per the
+    # derivation regime; the stored exact phases are not used here
+    prop = _fresnel_phase(tx, probe, setup.geometry.wavenumber)
+    total = np.sum(np.exp(1j * (prop + setup.fresnel_phases)))
+    return float(np.abs(total) ** 2 / setup.geometry.tx.size)
 
 
 def _require_square(n_antennas: int) -> int:
@@ -151,12 +202,15 @@ def paraxial_parameter(
     if not spacing > 0 or not wavelength > 0 or not separation > 0:
         raise ValueError("spacing, wavelength and separation must be positive")
     try:
-        return side * spacing**2 / (wavelength * separation)
+        epsilon = side * spacing**2 / (wavelength * separation)
     except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
+        epsilon = math.inf
+    if not math.isfinite(epsilon):  # or the product or quotient overflows
         raise ArithmeticError(
             f"epsilon = sqrt(N) d^2 / (lambda L) leaves the float range at spacing {spacing!r} m, "
             f"wavelength {wavelength!r} m and separation {separation!r} m"
-        ) from None
+        )
+    return epsilon
 
 
 def gain_map(setup: FocusSetup, probe_xy, mode: GainMode = GainMode.PHASE_ONLY):

@@ -139,7 +139,13 @@ def edof_trace(spectrum: EigenSpectrum) -> float:
         raise ValueError("empty spectrum")
     if spectrum.total_energy <= 0:
         raise ValueError("spectrum has zero total energy")
-    return float(spectrum.total_energy**2 / np.sum(spectrum.values**2))
+    fourth = float(np.sum(spectrum.values**2))
+    if not fourth > 0:  # every mu_i^4 underflows; dividing would warn and give nan or inf
+        raise ArithmeticError(
+            "the trace-ratio EDoF (sum mu_i^2)^2 / sum mu_i^4 leaves the float range: "
+            f"sum mu_i^4 underflows to 0 at sum mu_i^2 = {spectrum.total_energy!r}"
+        )
+    return spectrum.total_energy**2 / fourth
 
 
 def capacity(

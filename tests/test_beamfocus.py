@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nfmimo.beamfocus import (
     GainMode,
+    _fresnel_phase,
     array_gain,
     array_gain_closed_form,
     focusing_phases,
@@ -14,7 +18,7 @@ from nfmimo.beamfocus import (
     write_gain_map_csv,
 )
 from nfmimo.channel import SystemGeometry
-from nfmimo.geometry import build_upa
+from nfmimo.geometry import PlanarArray, build_upa
 
 LAM = 0.01
 SEP = 40.0
@@ -119,6 +123,114 @@ class TestArrayGain:
         setup = make_focus_setup(make_system(side=2, spacing=0.01))
         with pytest.raises(ValueError):
             array_gain(setup, (0, 0, SEP), "exact")
+
+
+def pair_route(setup):
+    """The same setup without its grid axes, so array_gain takes the per-pair route."""
+    return dataclasses.replace(setup, tx_axes=None, fresnel_axis_phases=None)
+
+
+def fresnel_tolerance(setup, probe):
+    """2 N dphi, with dphi = 8 eps times the largest phase the unfactored Fresnel sum
+    rounds; as the benchmark oracle, this bounds |delta gain| for N unit phasors."""
+    tx = setup.geometry.tx.positions
+    k = setup.geometry.wavenumber
+    phase = np.abs(_fresnel_phase(tx, np.asarray(probe), k)).max()
+    dphi = 8 * np.finfo(float).eps * (phase + np.abs(setup.fresnel_phases).max())
+    return 2 * len(tx) * dphi
+
+
+class TestGridRoute:
+    """A grid transmit array's gains come from its 1-D squared-offset tables: exact and
+    phase_only bit for bit as the per-pair route, fresnel as two S-term sums."""
+
+    @given(
+        side=st.integers(min_value=1, max_value=12),
+        spacing=st.floats(min_value=1e-3, max_value=0.5),
+        separation=st.floats(min_value=1.0, max_value=100.0),
+        plane_offset=st.floats(min_value=-10.0, max_value=10.0),
+        probe_x=st.floats(min_value=-1.5, max_value=1.5),
+        probe_y=st.floats(min_value=-1.5, max_value=1.5),
+        probe_z=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @example(side=5, spacing=0.02, separation=SEP, plane_offset=0.0, probe_x=0.02, probe_y=0.0, probe_z=1.0)
+    def test_matches_the_per_pair_route(
+        self, side, spacing, separation, plane_offset, probe_x, probe_y, probe_z
+    ):
+        tx = build_upa(side, spacing, plane_offset)
+        rx = build_upa(side, spacing, plane_offset + separation)
+        setup = make_focus_setup(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
+        assert setup.tx_axes is not None
+        # probes up to 1.5 aperture widths off the axis, at 0.5 to 2 times the separation
+        half = side * spacing
+        probe = (probe_x * half, probe_y * half, plane_offset + probe_z * separation)
+        reference = pair_route(setup)
+        for mode in (GainMode.EXACT, GainMode.PHASE_ONLY):
+            assert array_gain(setup, probe, mode) == array_gain(reference, probe, mode)
+        fresnel = array_gain(setup, probe, GainMode.FRESNEL)
+        unfactored = array_gain(reference, probe, GainMode.FRESNEL)
+        assert abs(fresnel - unfactored) <= 1e-12 * unfactored + fresnel_tolerance(setup, probe)
+
+    def test_grid_route_calls_no_norm(self, monkeypatch):
+        setup = make_focus_setup(make_system(side=5, spacing=0.02))
+        calls = []
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append(args))
+        for mode in GainMode:
+            array_gain(setup, (0.01, -0.03, SEP), mode)
+        assert calls == []
+
+    def test_jittered_array_takes_the_per_pair_route(self, monkeypatch):
+        grid = make_system(side=3, spacing=0.02)
+        positions = grid.tx.positions.copy()
+        positions[4, 0] += 1e-9  # the centre antenna off its grid line by 1 nm
+        tx = PlanarArray(side_count=3, spacing=0.02, plane_offset=0.0, positions=positions)
+        setup = make_focus_setup(SystemGeometry(tx=tx, rx=grid.rx, wavelength=LAM))
+        assert setup.tx_axes is None and setup.fresnel_axis_phases is None
+        norm = np.linalg.norm
+        calls = []
+
+        def recorded(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recorded)
+        probe = np.array([0.013, -0.004, SEP])
+        k = 2 * np.pi / LAM
+        dist = np.sqrt(((probe - positions) ** 2).sum(axis=1))
+        focus = np.sqrt(((np.array([0.0, 0.0, SEP]) - positions) ** 2).sum(axis=1))
+        lateral = ((probe[:2] - positions[:, :2]) ** 2).sum(axis=1) - (positions[:, :2] ** 2).sum(axis=1)
+        phasors = {
+            GainMode.EXACT: SEP / dist * np.exp(1j * k * (dist - focus)),
+            GainMode.PHASE_ONLY: np.exp(1j * k * (dist - focus)),
+            GainMode.FRESNEL: np.exp(1j * k * lateral / (2 * SEP)),
+        }
+        for mode, terms in phasors.items():
+            expected = abs(terms.sum()) ** 2 / 9
+            assert array_gain(setup, probe, mode) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert calls == [(9, 3)] * 3
+
+    @given(
+        side=st.integers(min_value=1, max_value=12),
+        spacing=st.floats(min_value=1e-3, max_value=0.5),
+        plane_offset=st.floats(min_value=-10.0, max_value=10.0),
+        index=st.integers(min_value=0),
+    )
+    def test_probe_on_a_transmit_antenna_rejected(self, side, spacing, plane_offset, index):
+        tx = build_upa(side, spacing, plane_offset)
+        rx = build_upa(side, spacing, plane_offset + SEP)
+        setup = make_focus_setup(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
+        antenna = tx.positions[index % tx.size]
+        for route in (setup, pair_route(setup)):
+            for mode in GainMode:
+                with pytest.raises(ValueError, match="coincides with a transmit antenna"):
+                    array_gain(route, antenna, mode)
+
+    def test_probe_one_ulp_off_an_antenna_accepted(self):
+        setup = make_focus_setup(make_system(side=4, spacing=0.02))
+        x, y, z = setup.geometry.tx.positions[0]
+        probe = (np.nextafter(x, np.inf), y, z)
+        for mode in (GainMode.EXACT, GainMode.PHASE_ONLY):
+            assert array_gain(setup, probe, mode) == array_gain(pair_route(setup), probe, mode)
 
 
 class TestClosedForm:

@@ -232,6 +232,16 @@ class TestNumericalErrors:
         code = main(["threshold", "--wavelength", value, "--separation", value])
         self.assert_numerical(code, capsys, "epsilon", f"wavelength {float(value)!r} m")
 
+    def test_threshold_epsilon_overflows(self, capsys):
+        # spacing**2 is finite; sqrt(N) d^2 is not
+        code = main(["threshold", "--spacing", "1e154"])
+        self.assert_numerical(code, capsys, "epsilon", "spacing 1e+154 m")
+
+    def test_report_trace_edof_underflows(self, capsys):
+        # every mu_i^4 underflows to 0; a numpy warning would fail the suite
+        code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
+        self.assert_numerical(code, capsys, "trace-ratio EDoF", "underflows to 0")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
