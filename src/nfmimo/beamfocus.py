@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import SystemGeometry, _distance, _grid_axes
+from .channel import SystemGeometry, _distance
 
 
 class GainMode(Enum):
@@ -35,17 +35,14 @@ class FocusSetup:
     """Transmit phases steering a geometry toward a focus point: the exact ones, and
     the Fresnel-expanded ones that fresnel-mode gains use.
 
-    When the transmit array is a grid, `tx_axes` holds its x and y axes, as
-    `channel._grid_axes` finds them, stacked into one (2, S) array, and its plane's z;
-    `fresnel_axis_phases` holds the Fresnel steering split the same way, -k x^2 / (2 Lz)
-    and -k y^2 / (2 Lz), without the common -k Lz. Both are None otherwise.
+    When the transmit array is a grid (`PlanarArray.grid`), `fresnel_phases` is the
+    Fresnel steering split per axis, (2, S): -k x^2 / (2 Lz) and -k y^2 / (2 Lz), without
+    the common -k Lz. For any other array it is the per-antenna steering, (N,).
     """
 
     geometry: SystemGeometry
     phases: np.ndarray
     fresnel_phases: np.ndarray
-    tx_axes: tuple[np.ndarray, float] | None
-    fresnel_axis_phases: np.ndarray | None
 
 
 def wrap_phase(phi):
@@ -71,33 +68,19 @@ def _fresnel_phase(points, probe, wavenumber):
     return wavenumber * (lz + lateral_sq / (2 * lz))
 
 
-def _fresnel_axis_phase(offset_sq, lz, wavenumber):
-    """One axis's share k d^2 / (2 Lz) of the Taylor-expanded phase."""
-    return wavenumber * (offset_sq / (2 * lz))
-
-
 def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
     fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
     k = geometry.wavenumber
     phases = focusing_phases(geometry, fp)
-    fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, k)
-    tx_axes = axis_phases = None
-    grid = _grid_axes(geometry.tx)
-    if grid is not None:
-        tx_axes = (np.stack(grid[:2]), grid[2])
-        # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
-        axis_phases = -_fresnel_axis_phase(tx_axes[0] * tx_axes[0], fp[2] - grid[2], k)
-    for array in (phases, fresnel_phases, axis_phases):
-        if array is not None:
-            array.setflags(write=False)
-    return FocusSetup(
-        geometry=geometry,
-        phases=phases,
-        fresnel_phases=fresnel_phases,
-        tx_axes=tx_axes,
-        fresnel_axis_phases=axis_phases,
-    )
+    if geometry.tx.grid is None:
+        fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, k)
+    else:  # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
+        xy, z = geometry.tx.grid
+        fresnel_phases = -(k * (xy * xy / (2 * (fp[2] - z))))
+    for array in (phases, fresnel_phases):
+        array.setflags(write=False)
+    return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)
 
 
 def _focused_gain(setup: FocusSetup, dist: np.ndarray, mode: GainMode) -> float:
@@ -113,16 +96,30 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
 
     In phase_only mode the gain at the focus point is exactly N. Exact mode
     weights each phasor by L / |probe - tx_j| so all modes share the
-    flat-amplitude calibration.
+    flat-amplitude calibration. A probe whose squared distances or phases leave
+    the float range raises ArithmeticError.
     """
     if not isinstance(mode, GainMode):
         raise ValueError(f"unknown gain mode {mode!r}")
     probe = np.asarray(probe_point, dtype=float)
     if probe.shape != (3,) or not np.isfinite(probe).all():
         raise ValueError("probe_point must be a finite 3D point")
-    if setup.tx_axes is None:
+    gain = _gain(setup, probe, mode)
+    if not math.isfinite(gain):
+        raise ArithmeticError(
+            f"the {mode.value} gain at probe {tuple(probe.tolist())} is not finite: "
+            "its squared distances or phases leave the float range"
+        )
+    return gain
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
+    """array_gain from the transmit grid's axes, or by the per-pair route. A square or phase
+    that overflows (a fresnel phase at Lz = 0) makes it nan, which array_gain raises."""
+    if setup.geometry.tx.grid is None:
         return _pair_gain(setup, probe, mode)
-    xy, z = setup.tx_axes
+    xy, z = setup.geometry.tx.grid
     # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2
     offsets = probe[:2, None] - xy
     offsets *= offsets
@@ -135,10 +132,10 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
         # antenna (n, m) is row n * S + m, as in `positions`
         dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
         return _focused_gain(setup, dist, mode)
-    # the expanded phase is k Lz + a_n + b_m, so the phasor sum factors into
-    # one S-term sum per axis; the common phase k Lz - k L drops out of |.|^2
-    phases = _fresnel_axis_phase(offsets, dz, setup.geometry.wavenumber)
-    phases += setup.fresnel_axis_phases
+    # the expanded phase is k Lz + a_n + b_m, with a_n = k (p_x - x_n)^2 / (2 Lz), so the
+    # phasor sum factors into one S-term sum per axis; k Lz - k L drops out of |.|^2
+    phases = setup.geometry.wavenumber * (offsets / (2 * dz))
+    phases += setup.fresnel_phases
     axis_gains = np.abs(np.sum(np.exp(1j * phases), axis=1)) ** 2
     return float(axis_gains[0] * axis_gains[1] / setup.geometry.tx.size)
 

@@ -9,11 +9,9 @@ How a channel is assembled is decided once, here, from the positions. Every
 route rounds the distance as np.linalg.norm rounds it, sqrt((dx^2 + dy^2) +
 dz^2), so all of them give bit-identical entries:
 
-- Grid arrays. An array is a grid when antenna (n, m) sits at (x[n], y[m], z)
-  bit for bit. Between two grids the distance depends only on the small
-  squared-offset tables (x_R[a] - x_S[n])^2 and (y_R[b] - y_S[m])^2, so
-  `build_channel` broadcasts them into one N_R x N_S distance array and
-  evaluates the kernel in place on one complex array.
+- Grid arrays, as `PlanarArray.grid` finds them. `build_channel` broadcasts
+  the two arrays' small squared-offset tables into one N_R x N_S distance
+  array and evaluates the kernel in place on one complex array.
 - Coaxial twins. When both grids have x == y == c, centred bit for bit
   (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
   `build_channel` then evaluates the kernel once per distinct pair of them,
@@ -126,22 +124,10 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
     return complex(-np.exp(1j * k * r) / (4 * np.pi * r))
 
 
-def _grid_axes(array: PlanarArray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The axes (x, y, z) when antenna (n, m) of `array` sits at (x[n], y[m], z) bit
-    for bit; None otherwise."""
-    side = math.isqrt(len(array.positions))
-    if side == 0 or side * side != len(array.positions):
-        return None
-    grid = array.positions.reshape(side, side, 3)
-    x, y, z = grid[:, 0, 0], grid[0, :, 1], grid[0, 0, 2]
-    on_grid = (grid[..., 0] == x[:, None]).all() and (grid[..., 1] == y).all()
-    return (x, y, z) if on_grid and (grid[..., 2] == z).all() else None
-
-
-def _shared_grid(tx_axes, rx_axes) -> bool:
+def _shared_grid(tx_xy: np.ndarray, rx_xy: np.ndarray) -> bool:
     """Whether both grids' x and y axes are one c with c == -c[::-1], bit for bit."""
-    c = tx_axes[0]
-    shared = all(np.array_equal(c, axis) for axis in (tx_axes[1], *rx_axes[:2]))
+    c = tx_xy[0]
+    shared = all(np.array_equal(c, axis) for axis in (tx_xy[1], *rx_xy))
     return shared and np.array_equal(c, -c[::-1])
 
 
@@ -241,7 +227,7 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     the array ordering fixed by `geometry`'s PlanarArrays. A coaxial twin
     grid's matrix is gathered only when `entries` is read.
     """
-    tx, rx = _grid_axes(geometry.tx), _grid_axes(geometry.rx)
+    tx, rx = geometry.tx.grid, geometry.rx.grid
     shape = (len(geometry.rx.positions), len(geometry.tx.positions))
     k = geometry.wavenumber
     if tx is None or rx is None:
@@ -250,9 +236,9 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         del diff
     else:
         # dx2[a, n] and dy2[b, m] for rx antenna (a, b) and tx antenna (n, m)
-        dx, dy = rx[0][:, None] - tx[0], rx[1][:, None] - tx[1]
-        dx2, dy2, dz = dx * dx, dy * dy, rx[2] - tx[2]
-        if _shared_grid(tx, rx):  # then dy2 == dx2
+        offsets = rx[0][:, :, None] - tx[0][:, None, :]
+        (dx2, dy2), dz = offsets * offsets, rx[1] - tx[1]
+        if _shared_grid(tx[0], rx[0]):  # then dy2 == dx2
             squares, index = np.unique(dx2, return_inverse=True)
             table = _kernel(_distance(squares[:, None], squares[None, :], dz), k)
             index = index.reshape(dx2.shape)

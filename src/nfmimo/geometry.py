@@ -6,6 +6,7 @@ centered on the z axis. Positions are stored in meters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,23 @@ class PlanarArray:
     @property
     def area(self) -> float:
         return self.side_length**2
+
+    @functools.cached_property
+    def grid(self) -> tuple[np.ndarray, float] | None:
+        """(xy, z) when antenna (n, m) sits at (xy[0, n], xy[1, m], z) bit for bit, with xy a
+        read-only (2, S) array; None for other positions, such as a tilted or jittered array.
+        Read from `positions` on first use and kept: an array built around shifted positions
+        is a grid too, but an antenna moved in place after that first read is not seen."""
+        side = math.isqrt(len(self.positions))
+        if side == 0 or side * side != len(self.positions):
+            return None
+        grid = self.positions.reshape(side, side, 3)
+        xy, z = np.stack([grid[:, 0, 0], grid[0, :, 1]]), grid[0, 0, 2]
+        on_grid = (grid[..., 0] == xy[0][:, None]).all() and (grid[..., 1] == xy[1]).all()
+        if not (on_grid and (grid[..., 2] == z).all()):
+            return None
+        xy.setflags(write=False)
+        return xy, z
 
 
 def build_upa(side_count: int, spacing: float, plane_offset: float = 0.0) -> PlanarArray:

@@ -18,7 +18,7 @@ from .channel import ChannelMatrix
 from .geometry import PlanarArray
 
 DEFAULT_ENERGY_FRACTION = 0.999
-DEFAULT_DOF_FLOOR = 1e-12
+DOF_FLOOR = 1e-12
 
 # Eigenvalues of a PSD Gram matrix may come out slightly negative from an
 # eigensolver; anything below this (relative to the largest eigenvalue)
@@ -92,13 +92,11 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.shape)
 
 
-def count_dof(spectrum: EigenSpectrum, relative_floor: float = DEFAULT_DOF_FLOOR) -> int:
-    """Number of eigenvalues at or above relative_floor times the largest."""
-    if not 0 < relative_floor < 1:
-        raise ValueError(f"relative_floor must be in (0, 1), got {relative_floor}")
+def count_dof(spectrum: EigenSpectrum) -> int:
+    """Number of eigenvalues at or above DOF_FLOOR times the largest."""
     if spectrum.values.size == 0:
         raise ValueError("empty spectrum")
-    return int(np.count_nonzero(spectrum.values >= relative_floor * spectrum.values[0]))
+    return int(np.count_nonzero(spectrum.values >= DOF_FLOOR * spectrum.values[0]))
 
 
 def edof_exact(spectrum: EigenSpectrum, fraction: float = DEFAULT_ENERGY_FRACTION) -> int:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -126,18 +127,29 @@ class TestArrayGain:
 
 
 def pair_route(setup):
-    """The same setup without its grid axes, so array_gain takes the per-pair route."""
-    return dataclasses.replace(setup, tx_axes=None, fresnel_axis_phases=None)
+    """The same setup on a copy of its transmit array that is not known as a grid, so
+    array_gain takes the per-pair route and fresnel_phases is per antenna."""
+    tx = copy.copy(setup.geometry.tx)
+    tx.__dict__["grid"] = None  # fills the cached property
+    return make_focus_setup(dataclasses.replace(setup.geometry, tx=tx))
 
 
 def fresnel_tolerance(setup, probe):
-    """2 N dphi, with dphi = 8 eps times the largest phase the unfactored Fresnel sum
-    rounds; as the benchmark oracle, this bounds |delta gain| for N unit phasors."""
+    """2 N dphi, with dphi = 8 eps times the largest phase the unfactored Fresnel sum of
+    the per-pair `setup` rounds; as the benchmark oracle, this bounds |delta gain| for N
+    unit phasors."""
     tx = setup.geometry.tx.positions
     k = setup.geometry.wavenumber
     phase = np.abs(_fresnel_phase(tx, np.asarray(probe), k)).max()
     dphi = 8 * np.finfo(float).eps * (phase + np.abs(setup.fresnel_phases).max())
     return 2 * len(tx) * dphi
+
+
+def jittered(array):
+    """`array` with its centre antenna off its grid line by 1 nm in x."""
+    positions = array.positions.copy()
+    positions[len(positions) // 2, 0] += 1e-9
+    return PlanarArray(array.side_count, array.spacing, array.plane_offset, positions)
 
 
 class TestGridRoute:
@@ -160,16 +172,17 @@ class TestGridRoute:
         tx = build_upa(side, spacing, plane_offset)
         rx = build_upa(side, spacing, plane_offset + separation)
         setup = make_focus_setup(SystemGeometry(tx=tx, rx=rx, wavelength=LAM))
-        assert setup.tx_axes is not None
+        assert setup.fresnel_phases.shape == (2, side)
         # probes up to 1.5 aperture widths off the axis, at 0.5 to 2 times the separation
         half = side * spacing
         probe = (probe_x * half, probe_y * half, plane_offset + probe_z * separation)
         reference = pair_route(setup)
+        assert reference.geometry.tx.grid is None and reference.fresnel_phases.shape == (side**2,)
         for mode in (GainMode.EXACT, GainMode.PHASE_ONLY):
             assert array_gain(setup, probe, mode) == array_gain(reference, probe, mode)
         fresnel = array_gain(setup, probe, GainMode.FRESNEL)
         unfactored = array_gain(reference, probe, GainMode.FRESNEL)
-        assert abs(fresnel - unfactored) <= 1e-12 * unfactored + fresnel_tolerance(setup, probe)
+        assert abs(fresnel - unfactored) <= 1e-12 * unfactored + fresnel_tolerance(reference, probe)
 
     def test_grid_route_calls_no_norm(self, monkeypatch):
         setup = make_focus_setup(make_system(side=5, spacing=0.02))
@@ -181,11 +194,10 @@ class TestGridRoute:
 
     def test_jittered_array_takes_the_per_pair_route(self, monkeypatch):
         grid = make_system(side=3, spacing=0.02)
-        positions = grid.tx.positions.copy()
-        positions[4, 0] += 1e-9  # the centre antenna off its grid line by 1 nm
-        tx = PlanarArray(side_count=3, spacing=0.02, plane_offset=0.0, positions=positions)
+        tx = jittered(grid.tx)
+        positions = tx.positions
         setup = make_focus_setup(SystemGeometry(tx=tx, rx=grid.rx, wavelength=LAM))
-        assert setup.tx_axes is None and setup.fresnel_axis_phases is None
+        assert tx.grid is None and setup.fresnel_phases.shape == (9,)
         norm = np.linalg.norm
         calls = []
 
@@ -208,6 +220,26 @@ class TestGridRoute:
             expected = abs(terms.sum()) ** 2 / 9
             assert array_gain(setup, probe, mode) == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert calls == [(9, 3)] * 3
+
+    @pytest.mark.parametrize("mode", list(GainMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("route", ["grid", "per_pair"])
+    def test_probe_beyond_the_float_range_raises(self, route, mode):
+        # (1e160)^2 overflows: the gain would be nan, with a numpy warning on the way
+        geo = make_system(side=3, spacing=0.02)
+        if route == "per_pair":
+            geo = SystemGeometry(tx=jittered(geo.tx), rx=geo.rx, wavelength=LAM)
+        setup = make_focus_setup(geo)
+        with pytest.raises(ArithmeticError, match=r"probe \(1e\+160, -1e\+160, 40\.0\)"):
+            array_gain(setup, (1e160, -1e160, SEP), mode)
+
+    @pytest.mark.parametrize("route", ["grid", "per_pair"])
+    def test_fresnel_probe_in_the_transmit_plane_raises(self, route):
+        # the expanded phase divides by Lz = 0
+        geo = make_system(side=3, spacing=0.02)
+        if route == "per_pair":
+            geo = SystemGeometry(tx=jittered(geo.tx), rx=geo.rx, wavelength=LAM)
+        with pytest.raises(ArithmeticError, match="fresnel gain at probe"):
+            array_gain(make_focus_setup(geo), (0.005, 0.003, 0.0), GainMode.FRESNEL)
 
     @given(
         side=st.integers(min_value=1, max_value=12),

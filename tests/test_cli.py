@@ -242,6 +242,15 @@ class TestNumericalErrors:
         code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
         self.assert_numerical(code, capsys, "trace-ratio EDoF", "underflows to 0")
 
+    @pytest.mark.parametrize("mode", ["exact", "phase_only", "fresnel"])
+    def test_gainmap_extent_overflows(self, tmp_path, capsys, mode):
+        # the corner probes' squared offsets overflow; a numpy warning would fail the suite
+        output = tmp_path / "map.csv"
+        code = main(["gainmap", "--extent", "1e160", "--points", "3", "--mode", mode,
+                     "--output", str(output)])
+        self.assert_numerical(code, capsys, f"{mode} gain at probe (-1e+160, -1e+160, 40.0)")
+        assert output.read_text() == ""  # created by the writability check, never written
+
     @pytest.mark.parametrize(
         "argv, message",
         [

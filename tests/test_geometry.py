@@ -74,3 +74,77 @@ class TestBuildUpa:
         arr = build_upa(5, 0.2, 0.0)
         assert arr.side_length == pytest.approx(1.0)
         assert arr.area == pytest.approx(1.0)
+
+
+def with_positions(array, positions):
+    """A PlanarArray around `positions`, writeable, as benchmarks/workloads.py builds one."""
+    return PlanarArray(
+        side_count=array.side_count,
+        spacing=array.spacing,
+        plane_offset=array.plane_offset,
+        positions=positions,
+    )
+
+
+def upa_axis(side, spacing):
+    """build_upa's coordinates, computed as it computes them."""
+    return (np.arange(1, side + 1) - (side + 1) / 2) * spacing
+
+
+class TestGrid:
+    @given(
+        side=st.integers(min_value=1, max_value=30),
+        spacing=st.floats(min_value=1e-4, max_value=10.0),
+        plane_offset=st.floats(min_value=-50.0, max_value=50.0),
+    )
+    def test_upa_gives_its_axes(self, side, spacing, plane_offset):
+        xy, z = build_upa(side, spacing, plane_offset).grid
+        assert xy.shape == (2, side) and not xy.flags.writeable
+        c = upa_axis(side, spacing)
+        assert np.array_equal(xy, [c, c]) and z == plane_offset
+
+    def test_shifted_positions_are_a_grid(self):
+        upa = build_upa(4, 0.02, 1.5)
+        arr = with_positions(upa, upa.positions + (0.3, -0.07, 0.0))
+        assert arr.positions.flags.writeable
+        xy, z = arr.grid
+        c = upa_axis(4, 0.02)
+        assert np.array_equal(xy, [c + 0.3, c - 0.07]) and z == 1.5
+        assert arr.grid is arr.grid  # detected once
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 7, 16, 24, 25])
+    def test_unequal_side_counts_give_the_exact_axes(self, side):
+        xy, z = build_upa(side, 0.013, -2.0).grid
+        assert np.array_equal(xy, np.stack([upa_axis(side, 0.013)] * 2)) and z == -2.0
+
+    def test_x_and_y_axes_kept_apart(self):
+        x, y = upa_axis(3, 0.01), upa_axis(3, 0.02) + 0.5
+        gx, gy = np.meshgrid(x, y, indexing="ij")
+        positions = np.column_stack([gx.ravel(), gy.ravel(), np.full(9, 4.0)])
+        xy, z = with_positions(build_upa(3, 0.01, 4.0), positions).grid
+        assert np.array_equal(xy, [x, y]) and z == 4.0
+
+    @pytest.mark.parametrize("case", ["jittered_x", "jittered_y", "jittered_z", "tilted"])
+    def test_off_grid_positions_give_none(self, case):
+        upa = build_upa(3, 0.02, 1.0)
+        positions = upa.positions.copy()
+        if case == "tilted":  # rotated 1 degree about the x axis: z varies with y
+            angle = np.radians(1.0)
+            y, z = positions[:, 1].copy(), positions[:, 2].copy()
+            positions[:, 1] = y * np.cos(angle) - z * np.sin(angle)
+            positions[:, 2] = y * np.sin(angle) + z * np.cos(angle)
+        else:  # the centre antenna off its grid line by 1 nm
+            positions[4, "xyz".index(case[-1])] += 1e-9
+        assert with_positions(upa, positions).grid is None
+
+    @pytest.mark.parametrize("count", [2, 3, 8, 12])
+    def test_non_square_counts_give_none(self, count):
+        positions = np.zeros((count, 3))
+        positions[:, 0] = np.arange(count)
+        assert with_positions(build_upa(1, 0.0), positions).grid is None
+
+    def test_square_count_of_a_rectangle_gives_none(self):
+        # 2 x 8 antennas: 16 positions, but not a 4 x 4 grid
+        gx, gy = np.meshgrid(upa_axis(2, 0.01), upa_axis(8, 0.01), indexing="ij")
+        positions = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(16)])
+        assert with_positions(build_upa(4, 0.01), positions).grid is None
