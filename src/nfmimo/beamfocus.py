@@ -35,9 +35,10 @@ class FocusSetup:
     """Transmit phases steering a geometry toward a focus point: the exact ones, and
     the Fresnel-expanded ones that fresnel-mode gains use.
 
-    When the transmit array is a grid (`PlanarArray.grid`), `fresnel_phases` is the
-    Fresnel steering split per axis, (2, S): -k x^2 / (2 Lz) and -k y^2 / (2 Lz), without
-    the common -k Lz. For any other array it is the per-antenna steering, (N,).
+    `fresnel_phases` is the Fresnel steering split per axis, (2, ...): -k x^2 / (2 Lz) and
+    -k y^2 / (2 Lz), without the common -k Lz. Its columns are the axes of a grid transmit
+    array (`PlanarArray.grid`), (2, S), and each antenna's x and y otherwise, (2, N), with
+    the first antenna's z as the transmit plane.
     """
 
     geometry: SystemGeometry
@@ -61,23 +62,19 @@ def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
     return wrap_phase(-geometry.wavenumber * dist)
 
 
-def _fresnel_phase(points, probe, wavenumber):
-    """Taylor-expanded propagation phase k (Lz + ((px-x)^2 + (py-y)^2) / (2 Lz))."""
-    lz = probe[2] - points[0, 2]
-    lateral_sq = (probe[0] - points[:, 0]) ** 2 + (probe[1] - points[:, 1]) ** 2
-    return wavenumber * (lz + lateral_sq / (2 * lz))
+def _axes(tx) -> tuple[np.ndarray, float]:
+    """(xy, z) of `tx.grid`; for another array each antenna's x and y, (2, N), and the
+    first antenna's z."""
+    return tx.grid or (tx.positions[:, :2].T, tx.positions[0, 2])
 
 
 def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
     fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
-    k = geometry.wavenumber
     phases = focusing_phases(geometry, fp)
-    if geometry.tx.grid is None:
-        fresnel_phases = -_fresnel_phase(geometry.tx.positions, fp, k)
-    else:  # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
-        xy, z = geometry.tx.grid
-        fresnel_phases = -(k * (xy * xy / (2 * (fp[2] - z))))
+    xy, z = _axes(geometry.tx)
+    # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
+    fresnel_phases = -(geometry.wavenumber * (xy * xy / (2 * (fp[2] - z))))
     for array in (phases, fresnel_phases):
         array.setflags(write=False)
     return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)
@@ -115,45 +112,36 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
-    """array_gain from the transmit grid's axes, or by the per-pair route. A square or phase
-    that overflows (a fresnel phase at Lz = 0) makes it nan, which array_gain raises."""
-    if setup.geometry.tx.grid is None:
-        return _pair_gain(setup, probe, mode)
-    xy, z = setup.geometry.tx.grid
-    # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2
+    """array_gain from a grid transmit array's 1-D offset tables, or by the per-pair route,
+    the reference in the tests. A square or phase that overflows (a fresnel phase at
+    Lz = 0) makes it nan, which array_gain raises."""
+    tx = setup.geometry.tx
+    xy, z = _axes(tx)
+    # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2, per antenna off a grid
     offsets = probe[:2, None] - xy
     offsets *= offsets
     dz = probe[2] - z
-    # the nearest antenna's squared distance: float addition is monotone
-    nearest = offsets.min(axis=1)
-    if not (nearest[0] + nearest[1]) + dz * dz > 0:
+    if tx.grid is None:  # every antenna's distance, by one np.linalg.norm
+        dist = np.linalg.norm(probe - tx.positions, axis=1)
+        coincident = not (dist > 0).all()
+    else:  # the nearest antenna's squared distance: float addition is monotone
+        nearest = offsets.min(axis=1)
+        coincident = not (nearest[0] + nearest[1]) + dz * dz > 0
+    if coincident:
         raise ValueError("probe point coincides with a transmit antenna")
     if mode is not GainMode.FRESNEL:
-        # antenna (n, m) is row n * S + m, as in `positions`
-        dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
+        if tx.grid is not None:  # antenna (n, m) is row n * S + m, as in `positions`
+            dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
         return _focused_gain(setup, dist, mode)
-    # the expanded phase is k Lz + a_n + b_m, with a_n = k (p_x - x_n)^2 / (2 Lz), so the
-    # phasor sum factors into one S-term sum per axis; k Lz - k L drops out of |.|^2
+    # the expanded phase is k Lz plus, per axis, k (p_x - x)^2 / (2 Lz) and its steering;
+    # k Lz - k L drops out of |.|^2. On a grid the phasor sum factors into one S-term sum
+    # per axis
     phases = setup.geometry.wavenumber * (offsets / (2 * dz))
     phases += setup.fresnel_phases
+    if tx.grid is None:
+        return float(np.abs(np.sum(np.exp(1j * (phases[0] + phases[1])))) ** 2 / tx.size)
     axis_gains = np.abs(np.sum(np.exp(1j * phases), axis=1)) ** 2
-    return float(axis_gains[0] * axis_gains[1] / setup.geometry.tx.size)
-
-
-def _pair_gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
-    """array_gain for a transmit array that is not a grid: one np.linalg.norm over
-    every antenna, and the Fresnel phasor sum unfactored. The reference in the tests."""
-    tx = setup.geometry.tx.positions
-    dist = np.linalg.norm(probe - tx, axis=1)
-    if not (dist > 0).all():
-        raise ValueError("probe point coincides with a transmit antenna")
-    if mode is not GainMode.FRESNEL:
-        return _focused_gain(setup, dist, mode)
-    # expand both the propagation and the focusing phase, per the
-    # derivation regime; the stored exact phases are not used here
-    prop = _fresnel_phase(tx, probe, setup.geometry.wavenumber)
-    total = np.sum(np.exp(1j * (prop + setup.fresnel_phases)))
-    return float(np.abs(total) ** 2 / setup.geometry.tx.size)
+    return float(axis_gains[0] * axis_gains[1] / tx.size)
 
 
 def _require_square(n_antennas: int) -> int:

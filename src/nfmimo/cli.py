@@ -304,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        # numpy's FloatingPointError is an ArithmeticError: one error line, no warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.run(args)
     # LinAlgError is a ValueError, so the numerical handler comes first
     except (np.linalg.LinAlgError, ArithmeticError, experiments.SweepError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -152,7 +152,7 @@ class SweepSpec(SystemParams):
         if not isinstance(data, dict):
             raise ValueError("a sweep spec must be a JSON object")
         names = {f.name for f in fields(cls)}
-        unknown = set(data) - names - {"preset", "notes"}
+        unknown = set(data) - names - {"notes"}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
@@ -249,7 +249,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         params = spec.at(value)  # cannot fail: the spec checked every grid value
         try:
             records.append(point_metrics(params, value))
-        except ValueError as exc:  # np.linalg.LinAlgError included
+        except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError included
             raise SweepError(value, exc) from exc
     return records
 

@@ -20,13 +20,25 @@ class PlanarArray:
     `positions` has shape (side_count**2, 3) and is row-major in the grid
     indices (n, m): antenna (n, m) sits at flat index (n-1)*side_count + (m-1).
     This ordering is part of the public contract; channel-matrix indices
-    depend on it.
+    depend on it. The array keeps a read-only float copy of the positions it is
+    built with, so writes to the caller's array change nothing.
     """
 
     side_count: int
     spacing: float
     plane_offset: float
     positions: np.ndarray
+
+    def __post_init__(self):
+        positions = np.array(self.positions, dtype=float)
+        shaped = self.side_count >= 1 and positions.shape == (self.size, 3)
+        if not (shaped and np.isfinite(positions).all()):
+            raise ValueError(
+                "positions must be a finite (side_count**2, 3) array with side_count >= 1, "
+                f"got shape {positions.shape} for side_count {self.side_count!r}"
+            )
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def size(self) -> int:
@@ -45,12 +57,9 @@ class PlanarArray:
     def grid(self) -> tuple[np.ndarray, float] | None:
         """(xy, z) when antenna (n, m) sits at (xy[0, n], xy[1, m], z) bit for bit, with xy a
         read-only (2, S) array; None for other positions, such as a tilted or jittered array.
-        Read from `positions` on first use and kept: an array built around shifted positions
-        is a grid too, but an antenna moved in place after that first read is not seen."""
-        side = math.isqrt(len(self.positions))
-        if side == 0 or side * side != len(self.positions):
-            return None
-        grid = self.positions.reshape(side, side, 3)
+        Read from `positions` on first use and kept; an array built around shifted positions
+        is a grid too."""
+        grid = self.positions.reshape(self.side_count, self.side_count, 3)
         xy, z = np.stack([grid[:, 0, 0], grid[0, :, 1]]), grid[0, 0, 2]
         on_grid = (grid[..., 0] == xy[0][:, None]).all() and (grid[..., 1] == xy[1]).all()
         if not (on_grid and (grid[..., 2] == z).all()):
@@ -79,7 +88,6 @@ def build_upa(side_count: int, spacing: float, plane_offset: float = 0.0) -> Pla
     positions = np.column_stack(
         [x.ravel(), y.ravel(), np.full(side_count**2, float(plane_offset))]
     )
-    positions.setflags(write=False)
     return PlanarArray(
         side_count=side_count,
         spacing=float(spacing),

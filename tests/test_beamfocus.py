@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from nfmimo.beamfocus import (
     GainMode,
-    _fresnel_phase,
     array_gain,
     array_gain_closed_form,
     focusing_phases,
@@ -128,7 +127,7 @@ class TestArrayGain:
 
 def pair_route(setup):
     """The same setup on a copy of its transmit array that is not known as a grid, so
-    array_gain takes the per-pair route and fresnel_phases is per antenna."""
+    array_gain takes the per-pair route and fresnel_phases has one column per antenna."""
     tx = copy.copy(setup.geometry.tx)
     tx.__dict__["grid"] = None  # fills the cached property
     return make_focus_setup(dataclasses.replace(setup.geometry, tx=tx))
@@ -138,11 +137,12 @@ def fresnel_tolerance(setup, probe):
     """2 N dphi, with dphi = 8 eps times the largest phase the unfactored Fresnel sum of
     the per-pair `setup` rounds; as the benchmark oracle, this bounds |delta gain| for N
     unit phasors."""
-    tx = setup.geometry.tx.positions
-    k = setup.geometry.wavenumber
-    phase = np.abs(_fresnel_phase(tx, np.asarray(probe), k)).max()
-    dphi = 8 * np.finfo(float).eps * (phase + np.abs(setup.fresnel_phases).max())
-    return 2 * len(tx) * dphi
+    positions, probe = setup.geometry.tx.positions, np.asarray(probe)
+    lateral = (probe[:2, None] - positions[:, :2].T) ** 2
+    propagation = setup.geometry.wavenumber * (lateral / (2 * (probe[2] - positions[0, 2])))
+    phase = np.abs(propagation).sum(axis=0).max() + np.abs(setup.fresnel_phases).sum(axis=0).max()
+    dphi = 8 * np.finfo(float).eps * phase
+    return 2 * len(positions) * dphi
 
 
 def jittered(array):
@@ -177,7 +177,7 @@ class TestGridRoute:
         half = side * spacing
         probe = (probe_x * half, probe_y * half, plane_offset + probe_z * separation)
         reference = pair_route(setup)
-        assert reference.geometry.tx.grid is None and reference.fresnel_phases.shape == (side**2,)
+        assert reference.geometry.tx.grid is None and reference.fresnel_phases.shape == (2, side**2)
         for mode in (GainMode.EXACT, GainMode.PHASE_ONLY):
             assert array_gain(setup, probe, mode) == array_gain(reference, probe, mode)
         fresnel = array_gain(setup, probe, GainMode.FRESNEL)
@@ -197,7 +197,7 @@ class TestGridRoute:
         tx = jittered(grid.tx)
         positions = tx.positions
         setup = make_focus_setup(SystemGeometry(tx=tx, rx=grid.rx, wavelength=LAM))
-        assert tx.grid is None and setup.fresnel_phases.shape == (9,)
+        assert tx.grid is None and setup.fresnel_phases.shape == (2, 9)
         norm = np.linalg.norm
         calls = []
 
@@ -220,6 +220,18 @@ class TestGridRoute:
             expected = abs(terms.sum()) ** 2 / 9
             assert array_gain(setup, probe, mode) == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert calls == [(9, 3)] * 3
+
+    def test_per_pair_fresnel_sum_is_not_factored(self):
+        # every antenna 1 to 3 mm off its grid point in x and y: the sum has no per-axis factors
+        grid = make_system(side=3, spacing=0.02)
+        offsets = np.random.default_rng(0).uniform(1e-3, 3e-3, (9, 2))
+        positions = grid.tx.positions + np.column_stack([offsets, np.zeros(9)])
+        tx = PlanarArray(3, 0.02, 0.0, positions)
+        setup = make_focus_setup(SystemGeometry(tx=tx, rx=grid.rx, wavelength=LAM))
+        probe = np.array([0.013, -0.004, SEP])
+        lateral = ((probe[:2] - positions[:, :2]) ** 2).sum(axis=1) - (positions[:, :2] ** 2).sum(axis=1)
+        expected = abs(np.exp(1j * (2 * np.pi / LAM) * lateral / (2 * SEP)).sum()) ** 2 / 9
+        assert array_gain(setup, probe, GainMode.FRESNEL) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("mode", list(GainMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("route", ["grid", "per_pair"])

@@ -252,6 +252,42 @@ class TestNumericalErrors:
         assert output.read_text() == ""  # created by the writability check, never written
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--spacing", "1e160"],
+            ["gainmap", "--spacing", "1e160", "--points", "3"],
+            ["report", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"],
+        ],
+        ids=["report_spacing", "gainmap_spacing", "report_wavelength"],
+    )
+    def test_lengths_whose_squares_overflow(self, tmp_path, capsys, argv):
+        # numpy overflows while the channel or the focusing phases are built; each would
+        # print RuntimeWarnings before the error line if the subcommand ran without errstate
+        code = main([*argv, "--output", str(tmp_path / "out")])
+        self.assert_numerical(code, capsys, "overflow encountered")
+
+    @pytest.mark.parametrize(
+        "changes, value",
+        [
+            ({"grid": [1e154]}, "1e+154"),
+            ({"grid": [1e160]}, "1e+160"),
+            (
+                {"swept_variable": "separation", "separation": None, "spacing": 1.0, "grid": [1e150]},
+                "1e+150",
+            ),
+        ],
+        ids=["spacing_1e154", "spacing_1e160", "separation_1e150"],
+    )
+    def test_spec_file_sweep_names_the_grid_value_of_every_failure(
+        self, tmp_path, capsys, changes, value
+    ):
+        # numpy overflows for the spacings; the trace-ratio EDoF underflows at 1e150 m
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**SPEC, **changes}))
+        code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
+        self.assert_numerical(code, capsys, f"sweep failed at grid value {value}: ")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["report"], "coincident transmit/receive antennas"),

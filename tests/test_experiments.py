@@ -36,7 +36,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-# noise_variance, area_convention and max_points are former fields, and bandwidth never was
+# noise_variance, area_convention, max_points and preset are former fields, and bandwidth never was
 SPEC_KEYS = st.sampled_from(
     ["swept_variable", "grid", "wavelength", "side_count", "spacing", "separation", "energy_fraction",
      "power", "noise_variance", "area_convention", "max_points", "preset", "notes", "bandwidth"]
@@ -89,6 +89,12 @@ class TestSweepSpec:
         data = small_spec().to_dict()
         data["bandwidth"] = 1.0
         with pytest.raises(ValueError):
+            SweepSpec.from_dict(data)
+
+    def test_from_dict_rejects_preset(self):
+        # accepted and dropped before: a setting that changed nothing
+        data = {**small_spec().to_dict(), "preset": "fig5"}
+        with pytest.raises(ValueError, match=r"unknown spec fields: \['preset'\]"):
             SweepSpec.from_dict(data)
 
     @settings(max_examples=200, deadline=None)

@@ -70,6 +70,38 @@ class TestBuildUpa:
         with pytest.raises(ValueError):
             arr.positions[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "side_count, positions",
+        [
+            (2, np.zeros((9, 3))),
+            (2, np.zeros((4, 2))),
+            (2, np.zeros(12)),
+            (0, np.zeros((0, 3))),
+        ],
+        ids=["9_for_2", "2d_points", "flat", "no_antenna"],
+    )
+    def test_positions_of_another_shape_rejected(self, side_count, positions):
+        with pytest.raises(ValueError, match=r"positions must be a finite \(side_count\*\*2, 3\) array"):
+            PlanarArray(side_count=side_count, spacing=0.01, plane_offset=0.0, positions=positions)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, value):
+        positions = build_upa(2, 0.01).positions.copy()
+        positions[3, 2] = value
+        with pytest.raises(ValueError, match=r"got shape \(4, 3\) for side_count 2"):
+            PlanarArray(side_count=2, spacing=0.01, plane_offset=0.0, positions=positions)
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_keeps_a_read_only_float_copy(self, dtype):
+        # positions moved in place after the array is built and its grid read
+        positions = np.array([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=dtype)
+        arr = PlanarArray(side_count=2, spacing=1.0, plane_offset=1.0, positions=positions)
+        xy, z = arr.grid
+        positions[0] = (5, 5, 5)
+        assert arr.positions.dtype == float and not arr.positions.flags.writeable
+        assert np.array_equal(arr.positions[0], [0.0, 0.0, 1.0])
+        assert np.array_equal(xy, [[0.0, 1.0], [0.0, 1.0]]) and z == 1.0
+
     def test_area_convention(self):
         arr = build_upa(5, 0.2, 0.0)
         assert arr.side_length == pytest.approx(1.0)
@@ -77,7 +109,7 @@ class TestBuildUpa:
 
 
 def with_positions(array, positions):
-    """A PlanarArray around `positions`, writeable, as benchmarks/workloads.py builds one."""
+    """A PlanarArray around writeable `positions`, as benchmarks/workloads.py builds one."""
     return PlanarArray(
         side_count=array.side_count,
         spacing=array.spacing,
@@ -105,8 +137,9 @@ class TestGrid:
 
     def test_shifted_positions_are_a_grid(self):
         upa = build_upa(4, 0.02, 1.5)
-        arr = with_positions(upa, upa.positions + (0.3, -0.07, 0.0))
-        assert arr.positions.flags.writeable
+        shifted = upa.positions + (0.3, -0.07, 0.0)
+        assert shifted.flags.writeable
+        arr = with_positions(upa, shifted)
         xy, z = arr.grid
         c = upa_axis(4, 0.02)
         assert np.array_equal(xy, [c + 0.3, c - 0.07]) and z == 1.5
@@ -139,9 +172,11 @@ class TestGrid:
 
     @pytest.mark.parametrize("count", [2, 3, 8, 12])
     def test_non_square_counts_give_none(self, count):
+        # a row count other than side_count**2 is no PlanarArray at all
         positions = np.zeros((count, 3))
         positions[:, 0] = np.arange(count)
-        assert with_positions(build_upa(1, 0.0), positions).grid is None
+        with pytest.raises(ValueError, match=rf"got shape \({count}, 3\) for side_count 1"):
+            with_positions(build_upa(1, 0.0), positions)
 
     def test_square_count_of_a_rectangle_gives_none(self):
         # 2 x 8 antennas: 16 positions, but not a 4 x 4 grid
