@@ -81,11 +81,17 @@ def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
 
 
 def _focused_gain(setup: FocusSetup, dist: np.ndarray, mode: GainMode) -> float:
-    """The exact or phase_only gain from the per-antenna distances, in `positions` order."""
-    phasors = np.exp(1j * (setup.geometry.wavenumber * dist + setup.phases))
+    """The exact or phase_only gain from the per-antenna distances, in `positions` order:
+    |sum exp(1j (k dist + phases)) (L / dist in exact mode)|^2 / N, rounded as that
+    expression rounds it, in two new arrays."""
+    angles = setup.geometry.wavenumber * dist
+    angles += setup.phases
+    phasors = np.multiply(angles, 1j)
+    np.exp(phasors, out=phasors)
     if mode is GainMode.EXACT:
-        phasors *= setup.geometry.separation / dist
-    return float(np.abs(np.sum(phasors)) ** 2 / setup.geometry.tx.size)
+        phasors *= np.divide(setup.geometry.separation, dist, out=angles)
+    # np.abs, not abs(): on a numpy complex scalar the two round apart
+    return float(np.abs(np.add.reduce(phasors)) ** 2 / setup.geometry.tx.size)
 
 
 def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_ONLY) -> float:
@@ -99,7 +105,7 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
     if not isinstance(mode, GainMode):
         raise ValueError(f"unknown gain mode {mode!r}")
     probe = np.asarray(probe_point, dtype=float)
-    if probe.shape != (3,) or not np.isfinite(probe).all():
+    if probe.shape != (3,) or not all(map(math.isfinite, probe.tolist())):
         raise ValueError("probe_point must be a finite 3D point")
     gain = _gain(setup, probe, mode)
     if not math.isfinite(gain):
@@ -120,13 +126,12 @@ def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
     # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2, per antenna off a grid
     offsets = probe[:2, None] - xy
     offsets *= offsets
-    dz = probe[2] - z
+    dz = float(probe[2] - z)
     if tx.grid is None:  # every antenna's distance, by one np.linalg.norm
         dist = np.linalg.norm(probe - tx.positions, axis=1)
         coincident = not (dist > 0).all()
-    else:  # the nearest antenna's squared distance: float addition is monotone
-        nearest = offsets.min(axis=1)
-        coincident = not (nearest[0] + nearest[1]) + dz * dz > 0
+    else:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
+        coincident = dz * dz == 0 and not offsets.min(axis=1).sum() > 0
     if coincident:
         raise ValueError("probe point coincides with a transmit antenna")
     if mode is not GainMode.FRESNEL:
@@ -136,11 +141,16 @@ def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
     # the expanded phase is k Lz plus, per axis, k (p_x - x)^2 / (2 Lz) and its steering;
     # k Lz - k L drops out of |.|^2. On a grid the phasor sum factors into one S-term sum
     # per axis
-    phases = setup.geometry.wavenumber * (offsets / (2 * dz))
+    offsets /= 2 * dz
+    phases = np.multiply(offsets, setup.geometry.wavenumber, out=offsets)
     phases += setup.fresnel_phases
     if tx.grid is None:
-        return float(np.abs(np.sum(np.exp(1j * (phases[0] + phases[1])))) ** 2 / tx.size)
-    axis_gains = np.abs(np.sum(np.exp(1j * phases), axis=1)) ** 2
+        phasors = np.multiply(np.add(phases[0], phases[1]), 1j)
+        np.exp(phasors, out=phasors)
+        return float(np.abs(np.add.reduce(phasors)) ** 2 / tx.size)
+    phasors = np.multiply(phases, 1j)
+    np.exp(phasors, out=phasors)
+    axis_gains = np.abs(np.add.reduce(phasors, axis=1)) ** 2
     return float(axis_gains[0] * axis_gains[1] / tx.size)
 
 
@@ -199,20 +209,33 @@ def paraxial_parameter(
 
 
 def gain_map(setup: FocusSetup, probe_xy, mode: GainMode = GainMode.PHASE_ONLY):
-    """Evaluate the gain at (x, y) probes on the receive plane.
+    """Evaluate the gain at (x, y) probes on the receive plane, one array_gain call each.
 
     Returns a list of (probe_x, probe_y, mode, gain) rows.
     """
     z = setup.geometry.rx.plane_offset
     rows = []
     for x, y in probe_xy:
-        g = array_gain(setup, (float(x), float(y), z), mode)
-        rows.append((float(x), float(y), mode.value, g))
+        x, y = float(x), float(y)
+        g = array_gain(setup, (x, y, z), mode)
+        rows.append((x, y, mode.value, g))
     return rows
 
 
 def write_gain_map_csv(rows, path) -> None:
+    """Write gain-map rows as CSV, every number with 17 significant digits.
+
+    A probe grid repeats each coordinate, so each distinct one is formatted once. 0.0 and
+    -0.0 are one dict key but print apart, so zeros are formatted every time.
+    """
+    cells = {}
+
+    def cell(value):
+        text = cells.get(value)
+        if text is None or not value:
+            text = cells[value] = f"{value:.17g}"
+        return text
+
     with open(path, "w", newline="") as fh:
         fh.write("probe_x,probe_y,mode,gain\n")
-        for x, y, mode, g in rows:
-            fh.write(f"{x:.17g},{y:.17g},{mode},{g:.17g}\n")
+        fh.write("".join(f"{cell(x)},{cell(y)},{mode},{g:.17g}\n" for x, y, mode, g in rows))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -136,10 +137,16 @@ def _check_outputs(*paths) -> None:
 
 
 @contextlib.contextmanager
-def _input_accepted():
-    """A ValueError raised inside comes from computing on accepted input: a numerical failure."""
+def _input_accepted(params: SystemParams):
+    """A ValueError raised inside comes from computing on accepted input: a numerical failure.
+    numpy's FloatingPointError names no input, so it is re-raised naming the system's lengths."""
     try:
         yield
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"{exc} at wavelength {params.wavelength!r} m, spacing {params.spacing!r} m "
+            f"and separation {params.separation!r} m"
+        ) from exc
     except ValueError as exc:
         raise ArithmeticError(exc) from exc
 
@@ -164,7 +171,7 @@ REPORT_FIELDS = (
 def cmd_report(args) -> int:
     params, output = load_config(args)
     _check_outputs(output)
-    with _input_accepted():
+    with _input_accepted(params):
         record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
@@ -226,9 +233,9 @@ def cmd_gainmap(args) -> int:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     output = output or "gainmap.csv"
     _check_outputs(output)
-    coords = np.linspace(-extent, extent, args.points)
+    coords = np.linspace(-extent, extent, args.points).tolist()
     probes = [(x, y) for x in coords for y in coords]
-    with _input_accepted():
+    with _input_accepted(params):
         setup = beamfocus.make_focus_setup(coaxial_system(params))
         rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
     beamfocus.write_gain_map_csv(rows, output)
@@ -301,9 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # numpy's FloatingPointError is an ArithmeticError: one error line, no warnings
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.run(args)

@@ -22,6 +22,11 @@ class PlanarArray:
     This ordering is part of the public contract; channel-matrix indices
     depend on it. The array keeps a read-only float copy of the positions it is
     built with, so writes to the caller's array change nothing.
+
+    Distances are taken from `positions`, while gain-map probes and the focus point sit at
+    `plane_offset`, so a grid array (`grid` not None) whose plane is not `plane_offset`
+    raises ValueError. Other positions, such as a tilted array, are not checked against
+    `plane_offset`; `spacing` is never checked.
     """
 
     side_count: int
@@ -39,6 +44,12 @@ class PlanarArray:
             )
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
+        grid = self.grid
+        if grid is not None and grid[1] != self.plane_offset:
+            raise ValueError(
+                f"positions lie in the plane z = {float(grid[1])!r}, "
+                f"not at plane_offset {self.plane_offset!r}"
+            )
 
     @property
     def size(self) -> int:
@@ -57,8 +68,8 @@ class PlanarArray:
     def grid(self) -> tuple[np.ndarray, float] | None:
         """(xy, z) when antenna (n, m) sits at (xy[0, n], xy[1, m], z) bit for bit, with xy a
         read-only (2, S) array; None for other positions, such as a tilted or jittered array.
-        Read from `positions` on first use and kept; an array built around shifted positions
-        is a grid too."""
+        Read from `positions` when the array is built and kept; an array built around shifted
+        positions is a grid too."""
         grid = self.positions.reshape(self.side_count, self.side_count, 3)
         xy, z = np.stack([grid[:, 0, 0], grid[0, :, 1]]), grid[0, 0, 2]
         on_grid = (grid[..., 0] == xy[0][:, None]).all() and (grid[..., 1] == xy[1]).all()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ class TestGridRoute:
                 with pytest.raises(ValueError, match="coincides with a transmit antenna"):
                     array_gain(route, antenna, mode)
 
+    @pytest.mark.parametrize("mode", list(GainMode), ids=lambda mode: mode.value)
+    def test_probe_whose_squared_height_underflows_rejected(self, mode):
+        # the grid route checks for a coincident antenna only when dz^2 == 0
+        setup = make_focus_setup(make_system(side=3, spacing=0.02))
+        x, y, z = setup.geometry.tx.positions[5]
+        for route in (setup, pair_route(setup)):
+            with pytest.raises(ValueError, match="coincides with a transmit antenna"):
+                array_gain(route, (x, y, z + 1e-200), mode)
+            assert math.isfinite(array_gain(route, (x, y, z + 1e-100), mode))
+
     def test_probe_one_ulp_off_an_antenna_accepted(self):
         setup = make_focus_setup(make_system(side=4, spacing=0.02))
         x, y, z = setup.geometry.tx.positions[0]
@@ -375,3 +386,17 @@ class TestGainMap:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "probe_x,probe_y,mode,gain"
         assert len(lines) == 3
+
+    def test_csv_formats_each_row_as_the_reference(self, tmp_path):
+        # each distinct coordinate is formatted once; the signed zeros are one dict key
+        rows = [
+            (x, y, "exact", g)
+            for x in (-0.0, 0.0, 0.1, -0.0, 0.1)
+            for y, g in ((0.0, 1.5), (-0.0, 5e-324), (0.1 + 0.2, 2.0 ** -1074 * 3), (0.0, 0.0))
+        ]
+        path = tmp_path / "map.csv"
+        write_gain_map_csv(rows, path)
+        reference = "".join(f"{x:.17g},{y:.17g},{mode},{g:.17g}\n" for x, y, mode, g in rows)
+        assert path.read_text() == "probe_x,probe_y,mode,gain\n" + reference
+        probes = {line.rsplit(",", 2)[0] for line in reference.splitlines()}
+        assert {"-0,0", "0,-0", "-0,-0", "0,0"} <= probes

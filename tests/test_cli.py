@@ -252,19 +252,26 @@ class TestNumericalErrors:
         assert output.read_text() == ""  # created by the writability check, never written
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, lengths",
         [
-            ["report", "--spacing", "1e160"],
-            ["gainmap", "--spacing", "1e160", "--points", "3"],
-            ["report", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"],
+            (["report", "--spacing", "1e160"], "wavelength 0.01 m, spacing 1e+160 m and separation 40.0 m"),
+            (
+                ["gainmap", "--spacing", "1e160", "--points", "3"],
+                "wavelength 0.01 m, spacing 1e+160 m and separation 40.0 m",
+            ),
+            (
+                ["report", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"],
+                "wavelength 1e+300 m, spacing 1.0 m and separation 1e+300 m",
+            ),
         ],
         ids=["report_spacing", "gainmap_spacing", "report_wavelength"],
     )
-    def test_lengths_whose_squares_overflow(self, tmp_path, capsys, argv):
+    def test_lengths_whose_squares_overflow(self, tmp_path, capsys, argv, lengths):
         # numpy overflows while the channel or the focusing phases are built; each would
-        # print RuntimeWarnings before the error line if the subcommand ran without errstate
+        # print RuntimeWarnings before the error line if the subcommand ran without errstate.
+        # numpy's message names no input, so the line names the system's lengths
         code = main([*argv, "--output", str(tmp_path / "out")])
-        self.assert_numerical(code, capsys, "overflow encountered")
+        self.assert_numerical(code, capsys, "overflow encountered", f" at {lengths}")
 
     @pytest.mark.parametrize(
         "changes, value",
@@ -573,6 +580,22 @@ def test_every_flag_has_help():
     for name, parser in subparsers.choices.items():
         for action in parser._actions:
             assert action.help, f"{name} {action.dest}"
+
+
+def test_consecutive_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so a flag given to one call must not stay set
+    system = ["--side-count", "3", "--spacing", "0.02", "--separation", "1.0"]
+    exact, plain = tmp_path / "exact.csv", tmp_path / "plain.csv"
+    assert main(["gainmap", "--mode", "exact", "--points", "3", *system, "--output", str(exact)]) == EXIT_OK
+    monkeypatch.setattr(nfmimo.cli, "build_parser", None)  # not called again
+    assert main(["gainmap", "--points", "3", *system, "--output", str(plain)]) == EXIT_OK
+    assert {line.split(",")[2] for line in exact.read_text().splitlines()[1:]} == {"exact"}
+    assert {line.split(",")[2] for line in plain.read_text().splitlines()[1:]} == {"phase_only"}
+    capsys.readouterr()
+    assert main(["report", "--json", *system]) == EXIT_OK
+    json.loads(capsys.readouterr().out)
+    assert main(["report", *system]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("n_dof           = ")
 
 
 def test_report_is_the_one_point_sweep(capsys):

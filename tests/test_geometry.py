@@ -102,6 +102,18 @@ class TestBuildUpa:
         assert np.array_equal(arr.positions[0], [0.0, 0.0, 1.0])
         assert np.array_equal(xy, [[0.0, 1.0], [0.0, 1.0]]) and z == 1.0
 
+    def test_grid_off_its_plane_offset_rejected(self):
+        # distances come from the positions, gain-map probes and the focus from plane_offset
+        positions = build_upa(3, 0.02, 40.0).positions
+        with pytest.raises(ValueError, match=r"plane z = 40\.0, not at plane_offset 1\.0"):
+            PlanarArray(3, 0.02, 1.0, positions)
+
+    def test_off_grid_positions_not_checked_against_plane_offset(self):
+        positions = build_upa(3, 0.02, 40.0).positions.copy()
+        positions[4, 2] += 1e-9
+        arr = PlanarArray(3, 0.02, 1.0, positions)
+        assert arr.grid is None and arr.plane_offset == 1.0
+
     def test_area_convention(self):
         arr = build_upa(5, 0.2, 0.0)
         assert arr.side_length == pytest.approx(1.0)
