@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -23,7 +22,7 @@ import numpy as np
 from . import beamfocus, experiments
 from .beamfocus import GainMode
 from .channel import build_channel  # noqa: F401  (benchmarks/test_benchmark.py traces it here)
-from .experiments import SystemParams, coaxial_system
+from .experiments import SystemParams, coaxial_system, computing
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -136,21 +135,6 @@ def _check_outputs(*paths) -> None:
         open(path, "a").close()
 
 
-@contextlib.contextmanager
-def _input_accepted(params: SystemParams):
-    """A ValueError raised inside comes from computing on accepted input: a numerical failure.
-    numpy's FloatingPointError names no input, so it is re-raised naming the system's lengths."""
-    try:
-        yield
-    except FloatingPointError as exc:
-        raise ArithmeticError(
-            f"{exc} at wavelength {params.wavelength!r} m, spacing {params.spacing!r} m "
-            f"and separation {params.separation!r} m"
-        ) from exc
-    except ValueError as exc:
-        raise ArithmeticError(exc) from exc
-
-
 def cmd_threshold(args) -> int:
     params, _ = load_config(args)
     d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
@@ -171,7 +155,7 @@ REPORT_FIELDS = (
 def cmd_report(args) -> int:
     params, output = load_config(args)
     _check_outputs(output)
-    with _input_accepted(params):
+    with computing(params):
         record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
@@ -207,7 +191,8 @@ def cmd_sweep(args) -> int:
 
     if not isinstance(payload, experiments.SweepSpec):
         _check_outputs(output)
-        profile = experiments.eigen_profile(payload)
+        with computing(payload):
+            profile = experiments.eigen_profile(payload)
         experiments.write_profile_csv(profile, output)
         print(f"wrote {len(profile)} eigenvalues to {output}")
         return EXIT_OK
@@ -223,19 +208,19 @@ def cmd_gainmap(args) -> int:
     params, output = load_config(args)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    if args.extent is None:
-        extent = 2 * beamfocus.spacing_threshold(
-            params.n_antennas, params.wavelength, params.separation
-        )
-    else:
+    if args.extent is not None:
         extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     output = output or "gainmap.csv"
     _check_outputs(output)
-    coords = np.linspace(-extent, extent, args.points).tolist()
-    probes = [(x, y) for x in coords for y in coords]
-    with _input_accepted(params):
+    with computing(params):
+        if args.extent is None:
+            extent = 2 * beamfocus.spacing_threshold(
+                params.n_antennas, params.wavelength, params.separation
+            )
+        coords = np.linspace(-extent, extent, args.points).tolist()
+        probes = [(x, y) for x in coords for y in coords]
         setup = beamfocus.make_focus_setup(coaxial_system(params))
         rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
     beamfocus.write_gain_map_csv(rows, output)
@@ -245,12 +230,12 @@ def cmd_gainmap(args) -> int:
 
 def cmd_validate(args) -> int:
     params, _ = load_config(args)
-    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
-    grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
-    fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
-    error = experiments.validate_closed_form(
-        experiments.SweepSpec(swept_variable="spacing", grid=grid, **fixed)
-    )
+    with computing(params):
+        d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
+        grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
+        fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
+        spec = experiments.SweepSpec(swept_variable="spacing", grid=grid, **fixed)
+    error = experiments.validate_closed_form(spec)
     passes = error <= experiments.CLOSED_FORM_TOLERANCE
     print(f"max normalized closed-form error: {error:.4g}")
     print("PASS" if passes else "FAIL")
@@ -272,28 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, run, summary, flags):
+    def add_parser(name, summary, flags):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file")
         for dest in flags:
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest])
         return p
 
-    add_parser("threshold", cmd_threshold, "print the optimal spacing threshold", SYSTEM_FLAGS)
+    add_parser("threshold", "print the optimal spacing threshold", SYSTEM_FLAGS)
 
-    p_report = add_parser(
-        "report", cmd_report, "DoF/EDoF/capacity report for one configuration", FLAGS
-    )
+    p_report = add_parser("report", "DoF/EDoF/capacity report for one configuration", FLAGS)
     p_report.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     p_sweep = sub.add_parser("sweep", help="run a preset or spec-file sweep to CSV")
-    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.PRESETS)}) or spec file")
     p_sweep.add_argument("--output", help="output CSV path")
 
     p_map = add_parser(
-        "gainmap", cmd_gainmap, "focal-spot gain map over the receive plane",
+        "gainmap", "focal-spot gain map over the receive plane",
         (*SYSTEM_FLAGS, "output"),
     )
     modes = [m.value for m in GainMode]
@@ -301,10 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
     p_map.add_argument("--points", type=int, default=41, help="probes per axis")
 
-    add_parser(
-        "validate", cmd_validate, "check the closed-form gain against the phasor sum",
-        VALIDATE_FLAGS,
-    )
+    add_parser("validate", "check the closed-form gain against the phasor sum", VALIDATE_FLAGS)
     return parser
 
 
@@ -319,9 +297,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         # numpy's FloatingPointError is an ArithmeticError: one error line, no warnings
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.run(args)
-    # LinAlgError is a ValueError, so the numerical handler comes first
-    except (np.linalg.LinAlgError, ArithmeticError, experiments.SweepError) as exc:
+            # looked up at call time, so a replaced module attribute (a tracer's) runs
+            return globals()[f"cmd_{args.command}"](args)
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

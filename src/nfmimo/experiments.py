@@ -19,6 +19,7 @@ Every metric of one system comes from `point_metrics` on a validated
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -37,14 +38,6 @@ SWEPT_VARIABLES = tuple(SWEPT_FIELD)
 MAX_GRID_POINTS = 200
 DEFAULT_FOCUSED_SNR_DB = 10.0
 CLOSED_FORM_TOLERANCE = 0.05  # of validate_closed_form's normalized error
-
-
-class SweepError(RuntimeError):
-    """A sweep point failed; carries the offending grid value."""
-
-    def __init__(self, swept_value, cause):
-        super().__init__(f"sweep failed at grid value {swept_value!r}: {cause}")
-        self.swept_value = swept_value
 
 
 def _is_number(value) -> bool:
@@ -100,6 +93,31 @@ class SystemParams:
     @property
     def n_antennas(self) -> int:
         return self.side_count**2
+
+
+class NumericalError(ArithmeticError):
+    """Computing on accepted parameters failed; carries them."""
+
+    def __init__(self, message, params: SystemParams):
+        super().__init__(message)
+        self.params = params
+
+
+@contextlib.contextmanager
+def computing(params: SystemParams):
+    """The numerical-failure boundary: a ValueError or ArithmeticError raised inside (LinAlgError
+    and numpy's FloatingPointError included) comes from computing on accepted input and is
+    re-raised as a NumericalError naming `params`; an inner boundary's passes through."""
+    try:
+        yield
+    except NumericalError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericalError(
+            f"{exc} at wavelength {params.wavelength!r} m, spacing {params.spacing!r} m and "
+            f"separation {params.separation!r} m, side count {params.side_count}",
+            params,
+        ) from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -247,10 +265,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     records = []
     for value in spec.grid:
         params = spec.at(value)  # cannot fail: the spec checked every grid value
-        try:
+        with computing(params):
             records.append(point_metrics(params, value))
-        except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError included
-            raise SweepError(value, exc) from exc
     return records
 
 
@@ -261,17 +277,18 @@ def eigen_profile(params: SystemParams) -> list[tuple[int, float]]:
 
 
 def validate_closed_form(spec: SweepSpec) -> float:
-    """Worst |rho1_closed - rho1_phase_only| / N over the grid points with epsilon <= 1, or 0
+    """Worst |rho1_closed - rho1_phase_only| / N over the grid points with spacing <= d_th, or 0
     if none; a point with epsilon > 1.2, beyond the paraxial regime, raises ValueError."""
     errors = []
     for value in spec.grid:
         p = spec.at(value)
-        gains = _gains(p, coaxial_system(p))
+        with computing(p):
+            gains = _gains(p, coaxial_system(p))
         if gains["epsilon"] > 1.2:
             raise ValueError(
                 f"grid point {spec.swept_variable}={value} has epsilon={gains['epsilon']:.3f} > 1.2"
             )
-        if gains["epsilon"] <= 1.0:
+        if p.spacing <= beamfocus.spacing_threshold(p.n_antennas, p.wavelength, p.separation):
             errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
     return max(errors) if errors else 0.0
 

@@ -276,11 +276,11 @@ class TestNumericalErrors:
     @pytest.mark.parametrize(
         "changes, value",
         [
-            ({"grid": [1e154]}, "1e+154"),
-            ({"grid": [1e160]}, "1e+160"),
+            ({"grid": [1e154]}, "spacing 1e+154 m"),
+            ({"grid": [1e160]}, "spacing 1e+160 m"),
             (
                 {"swept_variable": "separation", "separation": None, "spacing": 1.0, "grid": [1e150]},
-                "1e+150",
+                "separation 1e+150 m",
             ),
         ],
         ids=["spacing_1e154", "spacing_1e160", "separation_1e150"],
@@ -292,21 +292,53 @@ class TestNumericalErrors:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({**SPEC, **changes}))
         code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
-        self.assert_numerical(code, capsys, f"sweep failed at grid value {value}: ")
+        self.assert_numerical(code, capsys, " at wavelength 0.01 m, ", value)
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["report"], "coincident transmit/receive antennas"),
             (["gainmap", "--points", "2"], "focus point coincides with a transmit antenna"),
+            (["validate"], "sweep grid must be strictly increasing"),  # d_th is 0
         ],
-        ids=["report", "gainmap"],
+        ids=["report", "gainmap", "validate"],
     )
     def test_accepted_input_that_underflows(self, tmp_path, capsys, argv, message):
         # every distance underflows to 0; no numpy warning, unlike an overflowing separation
-        flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--spacing", "1e-200"]
-        code = main([*argv, *flags, "--side-count", "2", "--output", str(tmp_path / "out")])
-        self.assert_numerical(code, capsys, message)
+        flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--side-count", "2"]
+        if argv != ["validate"]:  # validate sweeps the spacing up to the threshold
+            flags += ["--spacing", "1e-200", "--output", str(tmp_path / "out")]
+        self.assert_numerical(main([*argv, *flags]), capsys, message, " at wavelength 1e-300 m, ")
+
+    @pytest.mark.parametrize(
+        "argv, lengths",
+        [
+            (
+                ["validate", "--separation", "1e-200"],
+                "wavelength 0.01 m, spacing 4e-103 m and separation 1e-200 m",
+            ),
+            (
+                ["validate", "--wavelength", "1e300", "--separation", "1e300"],
+                "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
+            ),
+            (
+                ["validate", "--wavelength", "1e-300", "--separation", "1e-300"],
+                "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
+            ),
+            (
+                ["gainmap", "--wavelength", "1e300", "--separation", "1e300", "--points", "2"],
+                "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
+            ),
+        ],
+        ids=["validate_coincident", "validate_overflow", "validate_underflow", "gainmap_overflow"],
+    )
+    def test_threshold_out_of_float_range_names_the_lengths(
+        self, tmp_path, monkeypatch, capsys, argv, lengths
+    ):
+        # d_th is 0, inf or so small that the focus coincides with a transmit antenna;
+        # each failure is numerical, not a fault of a grid or probe the user gave
+        monkeypatch.chdir(tmp_path)
+        self.assert_numerical(main(argv), capsys, f" at {lengths}, side count 25")
 
     @pytest.fixture
     def svd_fails(self, monkeypatch):
@@ -335,7 +367,7 @@ class TestNumericalErrors:
             )
         )
         code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
-        self.assert_numerical(code, capsys, "grid value 0.005")
+        self.assert_numerical(code, capsys, "spacing 0.005 m")
 
 
 class TestGainmap:
@@ -596,6 +628,12 @@ def test_consecutive_calls_share_no_state(tmp_path, monkeypatch, capsys):
     json.loads(capsys.readouterr().out)
     assert main(["report", *system]) == EXIT_OK
     assert capsys.readouterr().out.startswith("n_dof           = ")
+
+
+def test_main_runs_the_subcommand_function_of_the_module(monkeypatch):
+    # looked up when main runs, so a tracer that replaces module attributes sees the call
+    monkeypatch.setattr(nfmimo.cli, "cmd_threshold", lambda args: 7)
+    assert main(["threshold"]) == 7
 
 
 def test_report_is_the_one_point_sweep(capsys):

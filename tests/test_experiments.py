@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmimo import experiments
+from nfmimo import beamfocus, experiments
 from nfmimo.experiments import (
     CLOSED_FORM_TOLERANCE,
     RECORD_FIELDS,
-    SweepError,
+    NumericalError,
     SweepSpec,
     SystemParams,
     eigen_profile,
@@ -170,10 +170,19 @@ class TestRunSweep:
             return original(params, value)
 
         monkeypatch.setattr(experiments, "point_metrics", fail_at_second_point)
-        with pytest.raises(SweepError, match="0.008") as err:
+        with pytest.raises(NumericalError, match="spacing 0.008 m") as err:
             run_sweep(small_spec(grid=(0.004, 0.008, 0.012)))
-        assert err.value.swept_value == 0.008
+        assert err.value.params.spacing == 0.008
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_an_outer_boundary_passes_the_inner_failure_through(self):
+        spec = small_spec(grid=(0.004, 0.008))
+        with pytest.raises(NumericalError, match="^x at wavelength 0.01 m, spacing 0.004 m ") as err:
+            with experiments.computing(spec.at(0.008)):
+                with experiments.computing(spec.at(0.004)):
+                    raise FloatingPointError("x")
+        assert err.value.params.spacing == 0.004
+        assert isinstance(err.value.__cause__, FloatingPointError)
 
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = small_spec(grid=(0.004, 0.008))
@@ -251,6 +260,13 @@ class TestValidateClosedForm:
     def test_rejects_non_paraxial_grid(self):
         with pytest.raises(ValueError):
             validate_closed_form(spacing_spec(25, [0.2], 40.0))  # epsilon = 2.5
+
+    def test_threshold_point_counts_when_epsilon_rounds_above_one(self):
+        # 10 x 10 arrays at the default 0.01 m and 40 m: d_th = 0.2 m, epsilon(d_th) = 1 + 2^-52
+        d_th = beamfocus.spacing_threshold(100, LAM, 40.0)
+        assert beamfocus.paraxial_parameter(100, d_th, LAM, 40.0) > 1.0
+        error = validate_closed_form(spacing_spec(10, [d_th], 40.0))
+        assert 0.0 < error <= CLOSED_FORM_TOLERANCE
 
 
 class TestPresets:
