@@ -186,7 +186,13 @@ def spacing_threshold(n_antennas: int, wavelength: float, separation: float) -> 
     side = _require_square(n_antennas)
     if not wavelength > 0 or not separation > 0:
         raise ValueError("wavelength and separation must be positive")
-    return math.sqrt(wavelength * separation / side)
+    d_th = math.sqrt(wavelength * separation / side)
+    if not 0 < d_th < math.inf:  # lambda L overflows to inf or underflows to 0
+        raise ArithmeticError(
+            f"d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength {wavelength!r} m "
+            f"and separation {separation!r} m"
+        )
+    return d_th
 
 
 def paraxial_parameter(

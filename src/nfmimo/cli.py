@@ -137,10 +137,11 @@ def _check_outputs(*paths) -> None:
 
 def cmd_threshold(args) -> int:
     params, _ = load_config(args)
-    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
+    # epsilon first: where both leave the float range, its error names all three lengths
     eps = beamfocus.paraxial_parameter(
         params.n_antennas, params.spacing, params.wavelength, params.separation
     )
+    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
     print(f"d_threshold = {d_th:.4g} m = {d_th / params.wavelength:.4g} lambda")
     print(f"configured spacing = {params.spacing:.4g} m -> epsilon = {eps:.4g}")
     return EXIT_OK

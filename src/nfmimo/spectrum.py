@@ -82,13 +82,21 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
 
     One SVD per block of `channel.blocks`, whose singular values repeat by the
     block's multiplicity; a channel without blocks takes one dense SVD.
+
+    Each matrix reaches the SVD with at least as many rows as columns: a wide
+    one (more transmit than receive antennas, say) goes in as its transpose
+    view, which has the same singular values. LAPACK's divide-and-conquer SVD
+    reduces a wide matrix through an LQ factorisation, which is slower than the
+    QR route it takes for the transpose. Square and tall matrices go in as
+    they are.
     """
     if 0 in channel.shape:
         raise ValueError("empty channel matrix")
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
     singular = []
     for block, multiplicity in channel.blocks or ((channel.entries, 1),):
-        singular += [np.linalg.svd(block, compute_uv=False)] * multiplicity
+        tall = block.T if block.shape[0] < block.shape[1] else block
+        singular += [np.linalg.svd(tall, compute_uv=False)] * multiplicity
     return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.shape)
 
 

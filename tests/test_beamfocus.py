@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,6 +358,13 @@ class TestSpacingThreshold:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spacing_threshold(10, 0.01, 40.0)
+
+    @pytest.mark.parametrize("length", [1e300, 1e-300], ids=["overflow", "underflow"])
+    def test_out_of_float_range_names_the_lengths(self, length):
+        # lambda L is inf or 0 in float arithmetic, which raises nothing by itself
+        lengths = f"at wavelength {length!r} m and separation {length!r} m"
+        with pytest.raises(ArithmeticError, match=rf"^d_th .* {re.escape(lengths)}$"):
+            spacing_threshold(625, length, length)
 
 
 class TestParaxialParameter:

@@ -237,6 +237,11 @@ class TestNumericalErrors:
         code = main(["threshold", "--spacing", "1e154"])
         self.assert_numerical(code, capsys, "epsilon", "spacing 1e+154 m")
 
+    def test_threshold_d_th_overflows(self, capsys):
+        # epsilon is 0 and finite here; d_th = inf used to be printed with exit 0
+        code = main(["threshold", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"])
+        self.assert_numerical(code, capsys, "d_th", "wavelength 1e+300 m and separation 1e+300 m")
+
     def test_report_trace_edof_underflows(self, capsys):
         # every mu_i^4 underflows to 0; a numpy warning would fail the suite
         code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
@@ -298,8 +303,12 @@ class TestNumericalErrors:
         "argv, message",
         [
             (["report"], "coincident transmit/receive antennas"),
-            (["gainmap", "--points", "2"], "focus point coincides with a transmit antenna"),
-            (["validate"], "sweep grid must be strictly increasing"),  # d_th is 0
+            # a given extent, since the default one is 2 d_th, which underflows to 0
+            (
+                ["gainmap", "--points", "2", "--extent", "1e-200"],
+                "focus point coincides with a transmit antenna",
+            ),
+            (["validate"], "d_th = sqrt(lambda L / sqrt(N)) leaves the float range"),
         ],
         ids=["report", "gainmap", "validate"],
     )
@@ -311,34 +320,38 @@ class TestNumericalErrors:
         self.assert_numerical(main([*argv, *flags]), capsys, message, " at wavelength 1e-300 m, ")
 
     @pytest.mark.parametrize(
-        "argv, lengths",
+        "argv, cause, lengths",
         [
             (
                 ["validate", "--separation", "1e-200"],
+                "focus point coincides with a transmit antenna",
                 "wavelength 0.01 m, spacing 4e-103 m and separation 1e-200 m",
             ),
             (
                 ["validate", "--wavelength", "1e300", "--separation", "1e300"],
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e+300 m",
                 "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
             ),
             (
                 ["validate", "--wavelength", "1e-300", "--separation", "1e-300"],
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e-300 m",
                 "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
             ),
             (
                 ["gainmap", "--wavelength", "1e300", "--separation", "1e300", "--points", "2"],
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e+300 m",
                 "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
             ),
         ],
         ids=["validate_coincident", "validate_overflow", "validate_underflow", "gainmap_overflow"],
     )
     def test_threshold_out_of_float_range_names_the_lengths(
-        self, tmp_path, monkeypatch, capsys, argv, lengths
+        self, tmp_path, monkeypatch, capsys, argv, cause, lengths
     ):
         # d_th is 0, inf or so small that the focus coincides with a transmit antenna;
         # each failure is numerical, not a fault of a grid or probe the user gave
         monkeypatch.chdir(tmp_path)
-        self.assert_numerical(main(argv), capsys, f" at {lengths}, side count 25")
+        self.assert_numerical(main(argv), capsys, cause, f" at {lengths}, side count 25")
 
     @pytest.fixture
     def svd_fails(self, monkeypatch):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +208,80 @@ class TestParityBlocks:
         nan = ChannelMatrix(entries=np.full((9, 9), np.nan, dtype=complex))
         with pytest.raises(np.linalg.LinAlgError):
             eigen_spectrum(nan)
+
+
+SEPARATION = 0.2
+
+
+def offaxis_channel(tx_side, rx_side):
+    """A tx grid facing an rx grid shifted off the axis: dense, N_R x N_S, no blocks."""
+    spacing = 0.018
+    tx = build_upa(tx_side, spacing, 0.0)
+    grid = build_upa(rx_side, spacing, SEPARATION)
+    shifted = grid.positions + (0.009, 0.0, 0.0)
+    rx = PlanarArray(side_count=rx_side, spacing=spacing, plane_offset=SEPARATION, positions=shifted)
+    return build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
+
+
+def complex_normal(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def wide_block_channel():
+    """Blocks of a 3 x 5 matrix twice and a 2 x 2 once, on their block diagonal."""
+    wide, square = complex_normal(7, (3, 5)), complex_normal(8, (2, 2))
+    entries = np.zeros((8, 12), dtype=complex)
+    entries[0:3, 0:5] = entries[3:6, 5:10] = wide
+    entries[6:8, 10:12] = square
+    return ChannelMatrix(entries=entries, blocks=((wide, 2), (square, 1)))
+
+
+TALL_CASES = {
+    # name: (channel, shapes np.linalg.svd receives)
+    "wide_grid_pair": lambda: (offaxis_channel(6, 4), [(36, 16)]),
+    "tall_grid_pair": lambda: (offaxis_channel(4, 6), [(36, 16)]),
+    "wide_matrix": lambda: (matrix_channel(complex_normal(5, (5, 9))), [(9, 5)]),
+    "wide_block": lambda: (wide_block_channel(), [(5, 3), (2, 2)]),
+}
+
+
+class TestTallOrientation:
+    """np.linalg.svd receives every matrix with at least as many rows as columns."""
+
+    @pytest.mark.parametrize("case", TALL_CASES)
+    def test_every_svd_input_is_tall(self, svd_shapes, case):
+        ch, shapes = TALL_CASES[case]()
+        eigen_spectrum(ch)
+        assert svd_shapes == shapes
+        assert all(rows >= cols for rows, cols in svd_shapes)
+
+    @pytest.mark.parametrize("case", ["wide_grid_pair", "wide_matrix"])
+    def test_wide_channel_equals_its_transpose_bitwise(self, case):
+        ch, _ = TALL_CASES[case]()
+        assert ch.shape[0] < ch.shape[1]
+        np.testing.assert_array_equal(
+            eigen_spectrum(ch).values, eigen_spectrum(matrix_channel(ch.entries.T)).values
+        )
+
+    def test_tall_channel_takes_the_dense_svd_unchanged(self):
+        ch = offaxis_channel(4, 6)
+        np.testing.assert_array_equal(eigen_spectrum(ch).values, dense_spectrum(ch).values)
+
+    @pytest.mark.parametrize("case", TALL_CASES)
+    def test_matches_dense_svd_and_smaller_gram(self, case):
+        ch, _ = TALL_CASES[case]()
+        geo = SimpleNamespace(separation=SEPARATION)  # sweep_metrics reads it for the auto power
+        ints, floats = sweep_metrics(eigen_spectrum(ch), geo)
+        g = ch.entries if ch.shape[0] <= ch.shape[1] else ch.entries.conj().T
+        oracles = (
+            dense_spectrum(ch),
+            spectrum_from_eigenvalues(np.linalg.eigvalsh(g @ g.conj().T), ch.shape),
+        )
+        for oracle in oracles:
+            ref_ints, ref_floats = sweep_metrics(oracle, geo)
+            assert ints == ref_ints
+            np.testing.assert_allclose(floats, ref_floats, rtol=1e-12, atol=0)
 
 
 class TestCountDof:
