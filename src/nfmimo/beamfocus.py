@@ -18,10 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import SystemGeometry, _distance
+
+if TYPE_CHECKING:  # experiments imports this module
+    from .experiments import SystemParams
 
 
 class GainMode(Enum):
@@ -154,63 +158,38 @@ def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
     return float(axis_gains[0] * axis_gains[1] / tx.size)
 
 
-def _require_square(n_antennas: int) -> int:
-    side = math.isqrt(n_antennas)
-    if n_antennas < 1 or side * side != n_antennas:
-        raise ValueError(f"n_antennas must be a perfect square >= 1, got {n_antennas}")
-    return side
-
-
-def array_gain_closed_form(
-    n_antennas: int, spacing: float, wavelength: float, separation: float
-) -> float:
+def array_gain_closed_form(params: SystemParams) -> float:
     """Closed-form gain at the focus's nearest neighbor (d, 0, L).
 
     With x = d^2 / (lambda L): |sin(sqrt(N) pi x) / sin(pi x)|^2, equal to
     N sinc^2(sqrt(N) x) / sinc^2(x) wherever both are defined. Integer x is
     a removable singularity and returns the limit N.
     """
-    side = _require_square(n_antennas)
-    for name, v in (("spacing", spacing), ("wavelength", wavelength), ("separation", separation)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v}")
-    x = spacing**2 / (wavelength * separation)
+    x = params.spacing**2 / (params.wavelength * params.separation)
     den = math.sin(math.pi * x)
     if den == 0.0:
-        return float(n_antennas)
-    return (math.sin(side * math.pi * x) / den) ** 2
+        return float(params.n_antennas)
+    return (math.sin(params.side_count * math.pi * x) / den) ** 2
 
 
-def spacing_threshold(n_antennas: int, wavelength: float, separation: float) -> float:
-    """Optimal spacing sqrt(lambda L / sqrt(N)): first zero of the nearest-neighbor gain."""
-    side = _require_square(n_antennas)
-    if not wavelength > 0 or not separation > 0:
-        raise ValueError("wavelength and separation must be positive")
-    d_th = math.sqrt(wavelength * separation / side)
+def spacing_threshold(params: SystemParams) -> float:
+    """Optimal spacing sqrt(lambda L / sqrt(N)): first zero of the nearest-neighbor gain.
+
+    Reads no spacing: any valid one gives the threshold of the system's array and lengths."""
+    d_th = math.sqrt(params.wavelength * params.separation / params.side_count)
     if not 0 < d_th < math.inf:  # lambda L overflows to inf or underflows to 0
-        raise ArithmeticError(
-            f"d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength {wavelength!r} m "
-            f"and separation {separation!r} m"
-        )
+        raise ArithmeticError("d_th = sqrt(lambda L / sqrt(N)) leaves the float range")
     return d_th
 
 
-def paraxial_parameter(
-    n_antennas: int, spacing: float, wavelength: float, separation: float
-) -> float:
+def paraxial_parameter(params: SystemParams) -> float:
     """epsilon = sqrt(N) d^2 / (lambda L); equals 1 at the spacing threshold."""
-    side = _require_square(n_antennas)
-    if not spacing > 0 or not wavelength > 0 or not separation > 0:
-        raise ValueError("spacing, wavelength and separation must be positive")
     try:
-        epsilon = side * spacing**2 / (wavelength * separation)
+        epsilon = params.side_count * params.spacing**2 / (params.wavelength * params.separation)
     except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
         epsilon = math.inf
     if not math.isfinite(epsilon):  # or the product or quotient overflows
-        raise ArithmeticError(
-            f"epsilon = sqrt(N) d^2 / (lambda L) leaves the float range at spacing {spacing!r} m, "
-            f"wavelength {wavelength!r} m and separation {separation!r} m"
-        )
+        raise ArithmeticError("epsilon = sqrt(N) d^2 / (lambda L) leaves the float range")
     return epsilon
 
 

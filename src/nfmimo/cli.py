@@ -137,11 +137,9 @@ def _check_outputs(*paths) -> None:
 
 def cmd_threshold(args) -> int:
     params, _ = load_config(args)
-    # epsilon first: where both leave the float range, its error names all three lengths
-    eps = beamfocus.paraxial_parameter(
-        params.n_antennas, params.spacing, params.wavelength, params.separation
-    )
-    d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
+    with computing(params):
+        eps = beamfocus.paraxial_parameter(params)
+        d_th = beamfocus.spacing_threshold(params)
     print(f"d_threshold = {d_th:.4g} m = {d_th / params.wavelength:.4g} lambda")
     print(f"configured spacing = {params.spacing:.4g} m -> epsilon = {eps:.4g}")
     return EXIT_OK
@@ -217,9 +215,7 @@ def cmd_gainmap(args) -> int:
     _check_outputs(output)
     with computing(params):
         if args.extent is None:
-            extent = 2 * beamfocus.spacing_threshold(
-                params.n_antennas, params.wavelength, params.separation
-            )
+            extent = 2 * beamfocus.spacing_threshold(params)
         coords = np.linspace(-extent, extent, args.points).tolist()
         probes = [(x, y) for x in coords for y in coords]
         setup = beamfocus.make_focus_setup(coaxial_system(params))
@@ -232,7 +228,7 @@ def cmd_gainmap(args) -> int:
 def cmd_validate(args) -> int:
     params, _ = load_config(args)
     with computing(params):
-        d_th = beamfocus.spacing_threshold(params.n_antennas, params.wavelength, params.separation)
+        d_th = beamfocus.spacing_threshold(params)
         grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
         fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
         spec = experiments.SweepSpec(swept_variable="spacing", grid=grid, **fixed)

@@ -221,13 +221,12 @@ def coaxial_system(params: SystemParams) -> SystemGeometry:
 
 def _gains(p: SystemParams, geometry: SystemGeometry) -> dict:
     """The gain step: rho1_closed, rho1_phase_only at the focus' neighbour (d, 0, L), epsilon."""
-    n = p.n_antennas
     setup = beamfocus.make_focus_setup(geometry)
     r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
     return {
-        "rho1_closed": beamfocus.array_gain_closed_form(n, p.spacing, p.wavelength, p.separation),
+        "rho1_closed": beamfocus.array_gain_closed_form(p),
         "rho1_phase_only": beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY),
-        "epsilon": beamfocus.paraxial_parameter(n, p.spacing, p.wavelength, p.separation),
+        "epsilon": beamfocus.paraxial_parameter(p),
     }
 
 
@@ -284,11 +283,12 @@ def validate_closed_form(spec: SweepSpec) -> float:
         p = spec.at(value)
         with computing(p):
             gains = _gains(p, coaxial_system(p))
+            d_th = beamfocus.spacing_threshold(p)
         if gains["epsilon"] > 1.2:
             raise ValueError(
                 f"grid point {spec.swept_variable}={value} has epsilon={gains['epsilon']:.3f} > 1.2"
             )
-        if p.spacing <= beamfocus.spacing_threshold(p.n_antennas, p.wavelength, p.separation):
+        if p.spacing <= d_th:
             errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
     return max(errors) if errors else 0.0
 
@@ -326,7 +326,8 @@ def write_profile_csv(profile, path) -> None:
 
 # The fig5 system, which fig5 to fig9 use: 25 x 25 UPAs at wavelength 0.01 m and separation 40 m
 _FIG5_SYSTEM = {"wavelength": 0.01, "side_count": 25, "separation": 40.0}
-_FIG5_THRESHOLD = beamfocus.spacing_threshold(25**2, 0.01, 40.0)
+# d_th reads no spacing, so the wavelength serves as one
+_FIG5_THRESHOLD = beamfocus.spacing_threshold(SystemParams(spacing=0.01, **_FIG5_SYSTEM))
 # quarter-wavelength steps plus the exact threshold point: the half-wavelength grid misses the
 # EDoF peak and aliases the secondary gain null near epsilon = 2 into a spurious global maximum
 _FIG5_GRID = tuple(sorted({*(np.arange(8, 80.001, 1) * 0.25 * 0.01).tolist(), _FIG5_THRESHOLD}))
@@ -379,7 +380,9 @@ PRESETS = {
             swept_variable="antennas_per_side",
             grid=(25, 50, 75, 100),
             wavelength=0.01,
-            spacing=beamfocus.spacing_threshold(100**2, 0.01, 40.0),
+            spacing=beamfocus.spacing_threshold(
+                SystemParams(wavelength=0.01, side_count=100, spacing=0.01, separation=40.0)
+            ),
             separation=40.0,
         ),
         {

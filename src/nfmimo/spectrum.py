@@ -20,11 +20,6 @@ from .geometry import PlanarArray
 DEFAULT_ENERGY_FRACTION = 0.999
 DOF_FLOOR = 1e-12
 
-# Eigenvalues of a PSD Gram matrix may come out slightly negative from an
-# eigensolver; anything below this (relative to the largest eigenvalue)
-# signals a broken decomposition rather than round-off.
-NEGATIVE_CLAMP_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class EigenSpectrum:
@@ -55,28 +50,6 @@ class EdofReport:
         }
 
 
-def spectrum_from_eigenvalues(values, source_dims) -> EigenSpectrum:
-    """Build an EigenSpectrum from raw Gram eigenvalues.
-
-    Sorts descending and clamps tiny negative round-off to zero; negatives
-    beyond the tolerance are a hard error.
-    """
-    vals = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-    if vals.size == 0:
-        raise ValueError("empty spectrum")
-    top = vals[0]
-    floor = -NEGATIVE_CLAMP_TOLERANCE * max(top, 0.0)
-    if (vals < floor).any():
-        raise ValueError(f"eigenvalue {vals.min()} below clamp tolerance {floor}")
-    vals[vals < 0] = 0.0
-    vals.setflags(write=False)
-    return EigenSpectrum(
-        values=vals,
-        total_energy=float(vals.sum()),
-        source_dims=(int(source_dims[0]), int(source_dims[1])),
-    )
-
-
 def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     """Spectrum of G G^H, computed as squared singular values of G.
 
@@ -97,7 +70,9 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     for block, multiplicity in channel.blocks or ((channel.entries, 1),):
         tall = block.T if block.shape[0] < block.shape[1] else block
         singular += [np.linalg.svd(tall, compute_uv=False)] * multiplicity
-    return spectrum_from_eigenvalues(np.concatenate(singular) ** 2, channel.shape)
+    values = np.sort(np.concatenate(singular) ** 2)[::-1].copy()
+    values.setflags(write=False)
+    return EigenSpectrum(values, float(values.sum()), channel.shape)
 
 
 def count_dof(spectrum: EigenSpectrum) -> int:

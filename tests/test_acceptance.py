@@ -11,22 +11,30 @@ import pytest
 
 from nfmimo.beamfocus import GainMode, array_gain, make_focus_setup, spacing_threshold
 from nfmimo.channel import SystemGeometry, build_channel, greens
-from nfmimo.experiments import CLOSED_FORM_TOLERANCE, load_preset, run_sweep, validate_closed_form
+from nfmimo.experiments import (
+    CLOSED_FORM_TOLERANCE,
+    SystemParams,
+    load_preset,
+    run_sweep,
+    validate_closed_form,
+)
 from nfmimo.geometry import build_upa
 from nfmimo.spectrum import (
+    EigenSpectrum,
     capacity,
     count_dof,
     edof_exact,
     edof_trace,
     eigen_spectrum,
-    spectrum_from_eigenvalues,
 )
 
 LAM = 0.01
 SEP = 40.0
 SIDE = 25
 N = SIDE * SIDE
-D_TH = spacing_threshold(N, LAM, SEP)
+D_TH = spacing_threshold(
+    SystemParams(wavelength=LAM, side_count=SIDE, spacing=LAM, separation=SEP)
+)
 
 
 def report(number, label, ok, detail=""):
@@ -184,12 +192,13 @@ def test_criterion_7_property_suite():
 
     gram = ch.entries @ ch.entries.conj().T
     hermitian = np.allclose(gram, gram.conj().T, rtol=1e-12)
-    # round-off floor for a 625-dim eigendecomposition; matches the
-    # negative-eigenvalue clamp tolerance used by the spectrum module
+    # round-off floor for a 625-dim eigendecomposition, relative to the
+    # largest eigenvalue
     psd = np.linalg.eigvalsh(gram).min() >= -1e-12 * spectrum.values[0]
     report(7, "Gram matrix Hermitian PSD", hermitian and psd)
 
-    scaled = spectrum_from_eigenvalues(spectrum.values * abs(2.5 - 1.5j) ** 2, (N, N))
+    values = spectrum.values * abs(2.5 - 1.5j) ** 2
+    scaled = EigenSpectrum(values, float(values.sum()), (N, N))
     ok_scale = np.isclose(edof_trace(scaled), edof_trace(spectrum), rtol=1e-12)
     rng = np.random.default_rng(0)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

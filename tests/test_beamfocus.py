@@ -20,6 +20,7 @@ from nfmimo.beamfocus import (
     write_gain_map_csv,
 )
 from nfmimo.channel import SystemGeometry
+from nfmimo.experiments import NumericalError, SystemParams, computing
 from nfmimo.geometry import PlanarArray, build_upa
 
 LAM = 0.01
@@ -30,6 +31,13 @@ def make_system(side=25, spacing=0.1265, wavelength=LAM, separation=SEP):
     tx = build_upa(side, spacing, 0.0)
     rx = build_upa(side, spacing, separation)
     return SystemGeometry(tx=tx, rx=rx, wavelength=wavelength)
+
+
+def system(side=25, spacing=LAM, wavelength=LAM, separation=SEP):
+    """The closed forms' input; d_th reads no spacing, so its default is arbitrary."""
+    return SystemParams(
+        wavelength=wavelength, side_count=side, spacing=spacing, separation=separation
+    )
 
 
 class TestFocusingPhases:
@@ -88,7 +96,7 @@ class TestArrayGain:
         assert array_gain(setup, (0.3, -0.2, SEP), GainMode.EXACT) == pytest.approx(1.0, rel=1e-4)
 
     def test_nearest_neighbor_null_at_threshold(self):
-        d = spacing_threshold(625, LAM, SEP)
+        d = spacing_threshold(system())
         setup = make_focus_setup(make_system(side=25, spacing=d))
         gain = array_gain(setup, (d, 0, SEP), GainMode.PHASE_ONLY)
         assert gain < 0.02 * 625
@@ -291,22 +299,22 @@ class TestGridRoute:
 
 class TestClosedForm:
     def test_zero_at_threshold(self):
-        d = spacing_threshold(625, LAM, SEP)
-        assert array_gain_closed_form(625, d, LAM, SEP) < 1e-12
+        d = spacing_threshold(system())
+        assert array_gain_closed_form(system(spacing=d)) < 1e-12
 
     def test_small_spacing_limit_is_n(self):
-        assert array_gain_closed_form(625, 1e-6, LAM, SEP) == pytest.approx(625, rel=1e-6)
+        assert array_gain_closed_form(system(spacing=1e-6)) == pytest.approx(625, rel=1e-6)
 
     def test_reference_scale_value(self):
         # oracle: 625 * sinc^2(0.15625) / sinc^2(0.00625), via numpy's sinc
         expected = 625 * (np.sinc(0.15625) / np.sinc(0.00625)) ** 2
-        got = array_gain_closed_form(625, 0.05, LAM, SEP)
+        got = array_gain_closed_form(system(spacing=0.05))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(576.46, abs=0.01)
 
     def test_cross_validates_against_phase_only_sum(self):
         # within 5% of N in the paraxial regime
-        got = array_gain_closed_form(625, 0.05, LAM, SEP)
+        got = array_gain_closed_form(system(spacing=0.05))
         setup = make_focus_setup(make_system(side=25, spacing=0.05))
         reference = array_gain(setup, (0.05, 0, SEP), GainMode.PHASE_ONLY)
         assert abs(got - reference) <= 0.05 * 625
@@ -316,71 +324,76 @@ class TestClosedForm:
         for d in (0.03, 0.07, 0.11):
             setup = make_focus_setup(make_system(side=25, spacing=d))
             fresnel = array_gain(setup, (d, 0, SEP), GainMode.FRESNEL)
-            closed = array_gain_closed_form(625, d, LAM, SEP)
+            closed = array_gain_closed_form(system(spacing=d))
             assert fresnel == pytest.approx(closed, rel=1e-6, abs=1e-9)
 
     def test_integer_x_returns_n_exactly(self):
         # removable singularity: d^2 = lambda L -> x = 1
         d = np.sqrt(LAM * SEP)
-        assert array_gain_closed_form(25, d, LAM, SEP) == pytest.approx(25.0)
+        assert array_gain_closed_form(system(side=5, spacing=d)) == pytest.approx(25.0)
         assert np.isfinite(
-            [array_gain_closed_form(25, f * d, LAM, SEP) for f in np.linspace(0.9, 1.1, 101)]
+            [
+                array_gain_closed_form(system(side=5, spacing=f * d))
+                for f in np.linspace(0.9, 1.1, 101)
+            ]
         ).all()
 
     def test_no_zero_before_threshold(self):
-        d_th = spacing_threshold(625, LAM, SEP)
+        d_th = spacing_threshold(system())
         gains = [
-            array_gain_closed_form(625, f * d_th, LAM, SEP)
-            for f in np.linspace(0.01, 0.999, 500)
+            array_gain_closed_form(system(spacing=f * d_th)) for f in np.linspace(0.01, 0.999, 500)
         ]
         assert min(gains) > 0.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            array_gain_closed_form(24, 0.05, LAM, SEP)
 
 
 class TestSpacingThreshold:
     def test_reference_value(self):
-        d = spacing_threshold(625, 0.01, 40.0)
+        d = spacing_threshold(system())
         assert d == pytest.approx(0.1265, abs=5e-5)
         assert d / 0.01 == pytest.approx(12.65, abs=5e-3)
 
     def test_single_antenna_unit_product(self):
-        assert spacing_threshold(1, 0.5, 2.0) == pytest.approx(1.0)
+        single = system(side=1, wavelength=0.5, separation=2.0)
+        assert spacing_threshold(single) == pytest.approx(1.0)
 
     def test_quadrupling_scaling(self):
         # 4x antennas divides the threshold by sqrt(2)... of the fourth root
-        base = spacing_threshold(100, 0.01, 40.0)
-        quad = spacing_threshold(400, 0.01, 40.0)
+        base = spacing_threshold(system(side=10))
+        quad = spacing_threshold(system(side=20))
         assert quad == pytest.approx(base / np.sqrt(2), rel=1e-12)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            spacing_threshold(10, 0.01, 40.0)
+    def test_reads_no_spacing(self):
+        assert spacing_threshold(system(spacing=1e-9)) == spacing_threshold(system(spacing=1e9))
 
     @pytest.mark.parametrize("length", [1e300, 1e-300], ids=["overflow", "underflow"])
     def test_out_of_float_range_names_the_lengths(self, length):
-        # lambda L is inf or 0 in float arithmetic, which raises nothing by itself
-        lengths = f"at wavelength {length!r} m and separation {length!r} m"
-        with pytest.raises(ArithmeticError, match=rf"^d_th .* {re.escape(lengths)}$"):
-            spacing_threshold(625, length, length)
+        # lambda L is inf or 0 in float arithmetic, which raises nothing by itself. The error
+        # names d_th only; the numerical-failure boundary adds the system's lengths, once
+        params = system(wavelength=length, separation=length)
+        quantity = re.escape("d_th = sqrt(lambda L / sqrt(N)) leaves the float range")
+        with pytest.raises(ArithmeticError, match=f"^{quantity}$"):
+            spacing_threshold(params)
+        lengths = re.escape(f"at wavelength {length!r} m, spacing 0.01 m and separation {length!r} m")
+        with pytest.raises(NumericalError, match=f"^{quantity} {lengths}, side count 25$"):
+            with computing(params):
+                spacing_threshold(params)
 
 
 class TestParaxialParameter:
     def test_one_at_threshold(self):
-        d = spacing_threshold(625, LAM, SEP)
-        assert paraxial_parameter(625, d, LAM, SEP) == pytest.approx(1.0, rel=1e-12)
+        d = spacing_threshold(system())
+        assert paraxial_parameter(system(spacing=d)) == pytest.approx(1.0, rel=1e-12)
 
     def test_quadratic_in_spacing(self):
-        d = spacing_threshold(625, LAM, SEP)
-        assert paraxial_parameter(625, d / 2, LAM, SEP) == pytest.approx(0.25, rel=1e-12)
+        d = spacing_threshold(system())
+        assert paraxial_parameter(system(spacing=d / 2)) == pytest.approx(0.25, rel=1e-12)
 
     def test_fig3_style_setup(self):
         # 20x20 array with threshold at 3.2 lambda implies L = 2.048 m
         lam, side = 0.01, 20
         sep = side * (3.2 * lam) ** 2 / lam
-        assert paraxial_parameter(side**2, 3.2 * lam, lam, sep) == pytest.approx(1.0, rel=1e-12)
+        params = system(side=side, spacing=3.2 * lam, wavelength=lam, separation=sep)
+        assert paraxial_parameter(params) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGainMap:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,8 @@ from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel, greens
 from nfmimo.experiments import SystemParams, coaxial_system, point_metrics
 from nfmimo.beamfocus import spacing_threshold
 from nfmimo.geometry import PlanarArray, build_upa
+
+FIG5 = SystemParams(wavelength=0.01, side_count=25, spacing=0.01, separation=40.0)
 
 
 def make_system(side=3, spacing=0.005, wavelength=0.01, separation=0.1):
@@ -151,7 +154,7 @@ class TestGatheredAssembly:
         assert np.array_equal(entries, dense_entries(geo))
 
     def test_bit_identical_at_fig5_threshold(self, norm_shapes):
-        d = spacing_threshold(625, 0.01, 40.0)
+        d = spacing_threshold(FIG5)
         geo = make_system(side=25, spacing=d, wavelength=0.01, separation=40.0)
         entries = build_channel(geo).entries
         assert norm_shapes == []
@@ -305,8 +308,8 @@ class TestLazyEntries:
             return built[-1]
 
         monkeypatch.setattr(experiments, "build_channel", recorded)
-        d = spacing_threshold(625, 0.01, 40.0)
-        params = SystemParams(wavelength=0.01, side_count=25, spacing=d, separation=40.0)
+        d = spacing_threshold(FIG5)
+        params = dataclasses.replace(FIG5, spacing=d)
         point_metrics(params, d)
         (ch,) = built
         assert "entries" not in vars(ch)

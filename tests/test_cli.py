@@ -226,6 +226,7 @@ class TestNumericalErrors:
         assert "Traceback" not in err
         for fragment in fragments:
             assert fragment in err
+        return err
 
     @pytest.mark.parametrize("value", ["1e300", "1e-300"], ids=["overflow", "underflow"])
     def test_threshold_out_of_float_range(self, capsys, value):
@@ -240,7 +241,9 @@ class TestNumericalErrors:
     def test_threshold_d_th_overflows(self, capsys):
         # epsilon is 0 and finite here; d_th = inf used to be printed with exit 0
         code = main(["threshold", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"])
-        self.assert_numerical(code, capsys, "d_th", "wavelength 1e+300 m and separation 1e+300 m")
+        self.assert_numerical(
+            code, capsys, "d_th", "wavelength 1e+300 m, spacing 1.0 m and separation 1e+300 m"
+        )
 
     def test_report_trace_edof_underflows(self, capsys):
         # every mu_i^4 underflows to 0; a numpy warning would fail the suite
@@ -329,29 +332,60 @@ class TestNumericalErrors:
             ),
             (
                 ["validate", "--wavelength", "1e300", "--separation", "1e300"],
-                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e+300 m",
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
                 "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
             ),
             (
                 ["validate", "--wavelength", "1e-300", "--separation", "1e-300"],
-                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e-300 m",
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
                 "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
             ),
             (
                 ["gainmap", "--wavelength", "1e300", "--separation", "1e300", "--points", "2"],
-                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range at wavelength 1e+300 m",
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
                 "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
             ),
+            (
+                ["gainmap", "--wavelength", "1e-300", "--separation", "1e-300", "--points", "2"],
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
+                "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
+            ),
+            (
+                ["threshold", "--wavelength", "1e300", "--separation", "1e300"],
+                "epsilon = sqrt(N) d^2 / (lambda L) leaves the float range",
+                "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
+            ),
+            (
+                ["threshold", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"],
+                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
+                "wavelength 1e+300 m, spacing 1.0 m and separation 1e+300 m",
+            ),
+            (
+                ["threshold", "--spacing", "1e154"],
+                "epsilon = sqrt(N) d^2 / (lambda L) leaves the float range",
+                "wavelength 0.01 m, spacing 1e+154 m and separation 40.0 m",
+            ),
         ],
-        ids=["validate_coincident", "validate_overflow", "validate_underflow", "gainmap_overflow"],
+        ids=[
+            "validate_coincident",
+            "validate_overflow",
+            "validate_underflow",
+            "gainmap_overflow",
+            "gainmap_underflow",
+            "threshold_epsilon",
+            "threshold_d_th",
+            "threshold_spacing",
+        ],
     )
     def test_threshold_out_of_float_range_names_the_lengths(
         self, tmp_path, monkeypatch, capsys, argv, cause, lengths
     ):
-        # d_th is 0, inf or so small that the focus coincides with a transmit antenna;
-        # each failure is numerical, not a fault of a grid or probe the user gave
+        # d_th or epsilon is 0, inf or so small that the focus coincides with a transmit
+        # antenna; each failure is numerical, not a fault of a grid or probe the user gave
         monkeypatch.chdir(tmp_path)
-        self.assert_numerical(main(argv), capsys, cause, f" at {lengths}, side count 25")
+        err = self.assert_numerical(main(argv), capsys, f"{cause} at {lengths}, side count 25")
+        for name in ("wavelength", "spacing", "separation"):
+            assert err.count(f"{name} ") == 1
 
     @pytest.fixture
     def svd_fails(self, monkeypatch):

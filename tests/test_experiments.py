@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,10 +265,20 @@ class TestValidateClosedForm:
 
     def test_threshold_point_counts_when_epsilon_rounds_above_one(self):
         # 10 x 10 arrays at the default 0.01 m and 40 m: d_th = 0.2 m, epsilon(d_th) = 1 + 2^-52
-        d_th = beamfocus.spacing_threshold(100, LAM, 40.0)
-        assert beamfocus.paraxial_parameter(100, d_th, LAM, 40.0) > 1.0
+        params = SystemParams(wavelength=LAM, side_count=10, spacing=LAM, separation=40.0)
+        d_th = beamfocus.spacing_threshold(params)
+        assert beamfocus.paraxial_parameter(dataclasses.replace(params, spacing=d_th)) > 1.0
         error = validate_closed_form(spacing_spec(10, [d_th], 40.0))
         assert 0.0 < error <= CLOSED_FORM_TOLERANCE
+
+    def test_threshold_out_of_float_range_names_the_lengths(self):
+        # lambda L overflows to inf: epsilon is 0 and the gains are finite, but d_th is not
+        spec = SweepSpec(
+            swept_variable="spacing", grid=[1.0], wavelength=1e300, side_count=2, separation=1e10
+        )
+        lengths = re.escape("at wavelength 1e+300 m, spacing 1.0 m and separation 10000000000.0 m")
+        with pytest.raises(NumericalError, match=f"^d_th .* range {lengths}, side count 2$"):
+            validate_closed_form(spec)
 
 
 class TestPresets:
