@@ -193,34 +193,18 @@ def paraxial_parameter(params: SystemParams) -> float:
     return epsilon
 
 
-def gain_map(setup: FocusSetup, probe_xy, mode: GainMode = GainMode.PHASE_ONLY):
-    """Evaluate the gain at (x, y) probes on the receive plane, one array_gain call each.
-
-    Returns a list of (probe_x, probe_y, mode, gain) rows.
-    """
+def gain_map(setup: FocusSetup, coords, mode: GainMode = GainMode.PHASE_ONLY) -> list[float]:
+    """The gain at each receive-plane probe (x, y) of the grid `coords` x `coords`, x-major,
+    one array_gain call each."""
     z = setup.geometry.rx.plane_offset
-    rows = []
-    for x, y in probe_xy:
-        x, y = float(x), float(y)
-        g = array_gain(setup, (x, y, z), mode)
-        rows.append((x, y, mode.value, g))
-    return rows
+    return [array_gain(setup, (x, y, z), mode) for x in coords for y in coords]
 
 
-def write_gain_map_csv(rows, path) -> None:
-    """Write gain-map rows as CSV, every number with 17 significant digits.
-
-    A probe grid repeats each coordinate, so each distinct one is formatted once. 0.0 and
-    -0.0 are one dict key but print apart, so zeros are formatted every time.
-    """
-    cells = {}
-
-    def cell(value):
-        text = cells.get(value)
-        if text is None or not value:
-            text = cells[value] = f"{value:.17g}"
-        return text
-
+def write_gain_map_csv(coords, mode: GainMode, gains, path) -> None:
+    """Write gain_map's gains over `coords` x `coords` as CSV rows (probe_x, probe_y, mode,
+    gain), every number with 17 significant digits; each coordinate is formatted once."""
+    cells = [f"{c:.17g}" for c in coords]
+    probes = (f"{x},{y},{mode.value}," for x in cells for y in cells)
     with open(path, "w", newline="") as fh:
         fh.write("probe_x,probe_y,mode,gain\n")
-        fh.write("".join(f"{cell(x)},{cell(y)},{mode},{g:.17g}\n" for x, y, mode, g in rows))
+        fh.write("".join(f"{probe}{g:.17g}\n" for probe, g in zip(probes, gains, strict=True)))

@@ -213,15 +213,15 @@ def cmd_gainmap(args) -> int:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     output = output or "gainmap.csv"
     _check_outputs(output)
+    mode = GainMode(args.mode)
     with computing(params):
         if args.extent is None:
             extent = 2 * beamfocus.spacing_threshold(params)
         coords = np.linspace(-extent, extent, args.points).tolist()
-        probes = [(x, y) for x in coords for y in coords]
         setup = beamfocus.make_focus_setup(coaxial_system(params))
-        rows = beamfocus.gain_map(setup, probes, GainMode(args.mode))
-    beamfocus.write_gain_map_csv(rows, output)
-    print(f"wrote {len(rows)} probes to {output}")
+        gains = beamfocus.gain_map(setup, coords, mode)
+    beamfocus.write_gain_map_csv(coords, mode, gains, output)
+    print(f"wrote {len(gains)} probes to {output}")
     return EXIT_OK
 
 

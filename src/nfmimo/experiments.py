@@ -276,21 +276,14 @@ def eigen_profile(params: SystemParams) -> list[tuple[int, float]]:
 
 
 def validate_closed_form(spec: SweepSpec) -> float:
-    """Worst |rho1_closed - rho1_phase_only| / N over the grid points with spacing <= d_th, or 0
-    if none; a point with epsilon > 1.2, beyond the paraxial regime, raises ValueError."""
+    """Worst |rho1_closed - rho1_phase_only| / N over the grid points."""
     errors = []
     for value in spec.grid:
         p = spec.at(value)
         with computing(p):
             gains = _gains(p, coaxial_system(p))
-            d_th = beamfocus.spacing_threshold(p)
-        if gains["epsilon"] > 1.2:
-            raise ValueError(
-                f"grid point {spec.swept_variable}={value} has epsilon={gains['epsilon']:.3f} > 1.2"
-            )
-        if p.spacing <= d_th:
-            errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
-    return max(errors) if errors else 0.0
+        errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
+    return max(errors)
 
 
 def write_sweep_csv(records, path, spec: SweepSpec, notes=None) -> None:

@@ -89,7 +89,8 @@ def edof_exact(spectrum: EigenSpectrum, fraction: float = DEFAULT_ENERGY_FRACTIO
     if spectrum.total_energy <= 0:
         raise ValueError("spectrum has zero total energy")
     cumulative = np.cumsum(spectrum.values) / spectrum.total_energy
-    return int(np.searchsorted(cumulative, fraction) + 1)
+    # the cumsum can end below 1 (total_energy is the pairwise sum), but all values hold it all
+    return min(int(np.searchsorted(cumulative, fraction)) + 1, spectrum.values.size)
 
 
 def edof_fringes(area_tx: float, area_rx: float, wavelength: float, separation: float) -> float:

@@ -399,25 +399,32 @@ class TestParaxialParameter:
 class TestGainMap:
     def test_rows_and_csv(self, tmp_path):
         setup = make_focus_setup(make_system(side=3, spacing=0.02))
-        rows = gain_map(setup, [(0.0, 0.0), (0.02, 0.0)], GainMode.PHASE_ONLY)
-        assert rows[0][3] == pytest.approx(9.0, rel=1e-10)
-        assert rows[0][2] == "phase_only"
+        gains = gain_map(setup, [0.0, 0.02], GainMode.PHASE_ONLY)
+        assert len(gains) == 4
+        assert gains[0] == pytest.approx(9.0, rel=1e-10)
         path = tmp_path / "map.csv"
-        write_gain_map_csv(rows, path)
+        write_gain_map_csv([0.0, 0.02], GainMode.PHASE_ONLY, gains, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "probe_x,probe_y,mode,gain"
-        assert len(lines) == 3
+        assert lines[1:3] == [f"0,0,phase_only,{gains[0]:.17g}", f"0,0.02,phase_only,{gains[1]:.17g}"]
+        assert len(lines) == 5
+
+    @pytest.mark.parametrize("mode", list(GainMode))
+    def test_equals_array_gain_at_each_probe_x_major(self, mode):
+        setup = make_focus_setup(make_system(side=4, spacing=0.03))
+        coords = [-0.05, 0.0, 0.01, 0.07]
+        z = setup.geometry.rx.plane_offset
+        expected = [array_gain(setup, (x, y, z), mode) for x in coords for y in coords]
+        assert list(map(float.hex, gain_map(setup, coords, mode))) == list(map(float.hex, expected))
 
     def test_csv_formats_each_row_as_the_reference(self, tmp_path):
-        # each distinct coordinate is formatted once; the signed zeros are one dict key
-        rows = [
-            (x, y, "exact", g)
-            for x in (-0.0, 0.0, 0.1, -0.0, 0.1)
-            for y, g in ((0.0, 1.5), (-0.0, 5e-324), (0.1 + 0.2, 2.0 ** -1074 * 3), (0.0, 0.0))
-        ]
+        # the signed zeros print apart, and subnormal gains keep 17 digits
+        coords = (-0.0, 0.0, 0.1 + 0.2, 0.1)
+        gains = [1.5, 5e-324, 2.0 ** -1074 * 3, 0.0] * len(coords)
         path = tmp_path / "map.csv"
-        write_gain_map_csv(rows, path)
-        reference = "".join(f"{x:.17g},{y:.17g},{mode},{g:.17g}\n" for x, y, mode, g in rows)
+        write_gain_map_csv(coords, GainMode.EXACT, gains, path)
+        probes = [(x, y) for x in coords for y in coords]
+        reference = "".join(f"{x:.17g},{y:.17g},exact,{g:.17g}\n" for (x, y), g in zip(probes, gains))
         assert path.read_text() == "probe_x,probe_y,mode,gain\n" + reference
-        probes = {line.rsplit(",", 2)[0] for line in reference.splitlines()}
-        assert {"-0,0", "0,-0", "-0,-0", "0,0"} <= probes
+        written = {line.rsplit(",", 2)[0] for line in reference.splitlines()}
+        assert {"-0,0", "0,-0", "-0,-0", "0,0"} <= written

@@ -82,6 +82,13 @@ class TestReport:
         half = json.loads(capsys.readouterr().out)
         assert half["n_edof_exact"] <= full["n_edof_exact"]
 
+    def test_fraction_one_ulp_below_one_takes_every_value(self, capsys):
+        # the cumulative energy ends below this fraction, which once asked for 626 values
+        code = main(["report", "--energy-fraction", "0.9999999999999999",
+                     "--spacing", "0.029230769230769234"])
+        assert code == EXIT_OK
+        assert "n_edof_exact    = 625\n" in capsys.readouterr().out
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["report", "--side-count", "2", "--output", str(out)])
@@ -228,23 +235,6 @@ class TestNumericalErrors:
             assert fragment in err
         return err
 
-    @pytest.mark.parametrize("value", ["1e300", "1e-300"], ids=["overflow", "underflow"])
-    def test_threshold_out_of_float_range(self, capsys, value):
-        code = main(["threshold", "--wavelength", value, "--separation", value])
-        self.assert_numerical(code, capsys, "epsilon", f"wavelength {float(value)!r} m")
-
-    def test_threshold_epsilon_overflows(self, capsys):
-        # spacing**2 is finite; sqrt(N) d^2 is not
-        code = main(["threshold", "--spacing", "1e154"])
-        self.assert_numerical(code, capsys, "epsilon", "spacing 1e+154 m")
-
-    def test_threshold_d_th_overflows(self, capsys):
-        # epsilon is 0 and finite here; d_th = inf used to be printed with exit 0
-        code = main(["threshold", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"])
-        self.assert_numerical(
-            code, capsys, "d_th", "wavelength 1e+300 m, spacing 1.0 m and separation 1e+300 m"
-        )
-
     def test_report_trace_edof_underflows(self, capsys):
         # every mu_i^4 underflows to 0; a numpy warning would fail the suite
         code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
@@ -365,6 +355,11 @@ class TestNumericalErrors:
                 "epsilon = sqrt(N) d^2 / (lambda L) leaves the float range",
                 "wavelength 0.01 m, spacing 1e+154 m and separation 40.0 m",
             ),
+            (
+                ["threshold", "--wavelength", "1e-300", "--separation", "1e-300"],
+                "epsilon = sqrt(N) d^2 / (lambda L) leaves the float range",
+                "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
+            ),
         ],
         ids=[
             "validate_coincident",
@@ -375,6 +370,7 @@ class TestNumericalErrors:
             "threshold_epsilon",
             "threshold_d_th",
             "threshold_spacing",
+            "threshold_underflow",
         ],
     )
     def test_threshold_out_of_float_range_names_the_lengths(

@@ -1,8 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel
 from nfmimo.experiments import SweepSpec, auto_power, coaxial_system, load_preset
@@ -317,6 +318,16 @@ class TestEdofExact:
     def test_bounded_by_dof(self):
         spec = eigen_spectrum(make_channel(side=4))
         assert 1 <= edof_exact(spec) <= count_dof(spec) <= 16
+
+    @given(
+        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=30),
+        st.floats(min_value=0.0, max_value=math.nextafter(1.0, 0.0), exclude_min=True)
+        | st.just(math.nextafter(1.0, 0.0)),
+    )
+    # the cumulative sum of eight 1.1s ends below their pairwise sum, the total energy
+    @example([1.1] * 8, math.nextafter(1.0, 0.0))
+    def test_at_most_every_value(self, values, fraction):
+        assert 1 <= edof_exact(synthetic(values), fraction) <= len(values)
 
 
 class TestEdofFringes:
