@@ -235,6 +235,24 @@ class TestNumericalErrors:
             assert fragment in err
         return err
 
+    # the 1e-300 case is the threshold_underflow case of the lengths test below
+    @pytest.mark.parametrize("value", ["1e300"], ids=["overflow"])
+    def test_threshold_out_of_float_range(self, capsys, value):
+        code = main(["threshold", "--wavelength", value, "--separation", value])
+        self.assert_numerical(code, capsys, "epsilon", f"wavelength {float(value)!r} m")
+
+    def test_threshold_epsilon_overflows(self, capsys):
+        # spacing**2 is finite; sqrt(N) d^2 is not
+        code = main(["threshold", "--spacing", "1e154"])
+        self.assert_numerical(code, capsys, "epsilon", "spacing 1e+154 m")
+
+    def test_threshold_d_th_overflows(self, capsys):
+        # epsilon is 0 and finite here; d_th = inf used to be printed with exit 0
+        code = main(["threshold", "--wavelength", "1e300", "--separation", "1e300", "--spacing", "1"])
+        self.assert_numerical(
+            code, capsys, "d_th", "wavelength 1e+300 m, spacing 1.0 m and separation 1e+300 m"
+        )
+
     def test_report_trace_edof_underflows(self, capsys):
         # every mu_i^4 underflows to 0; a numpy warning would fail the suite
         code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
