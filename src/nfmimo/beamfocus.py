@@ -66,17 +66,11 @@ def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
     return wrap_phase(-geometry.wavenumber * dist)
 
 
-def _axes(tx) -> tuple[np.ndarray, float]:
-    """(xy, z) of `tx.grid`; for another array each antenna's x and y, (2, N), and the
-    first antenna's z."""
-    return tx.grid or (tx.positions[:, :2].T, tx.positions[0, 2])
-
-
 def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
     fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
     phases = focusing_phases(geometry, fp)
-    xy, z = _axes(geometry.tx)
+    xy, z = geometry.tx.grid or (geometry.tx.positions[:, :2].T, geometry.tx.positions[0, 2])
     # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
     fresnel_phases = -(geometry.wavenumber * (xy * xy / (2 * (fp[2] - z))))
     for array in (phases, fresnel_phases):
@@ -84,34 +78,63 @@ def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)
 
 
-def _focused_gain(setup: FocusSetup, dist: np.ndarray, mode: GainMode) -> float:
-    """The exact or phase_only gain from the per-antenna distances, in `positions` order:
-    |sum exp(1j (k dist + phases)) (L / dist in exact mode)|^2 / N, rounded as that
-    expression rounds it, in two new arrays."""
-    angles = setup.geometry.wavenumber * dist
-    angles += setup.phases
-    phasors = np.multiply(angles, 1j)
-    np.exp(phasors, out=phasors)
-    if mode is GainMode.EXACT:
-        phasors *= np.divide(setup.geometry.separation, dist, out=angles)
-    # np.abs, not abs(): on a numpy complex scalar the two round apart
-    return float(np.abs(np.add.reduce(phasors)) ** 2 / setup.geometry.tx.size)
-
-
 def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_ONLY) -> float:
     """Array gain (1/N) |sum_j a_j exp(i(phi_j + theta_j))|^2 at a probe point.
 
     In phase_only mode the gain at the focus point is exactly N. Exact mode
     weights each phasor by L / |probe - tx_j| so all modes share the
-    flat-amplitude calibration. A probe whose squared distances or phases leave
-    the float range raises ArithmeticError.
+    flat-amplitude calibration. A grid transmit array takes its distances from 1-D offset
+    tables, any other the per-pair route, the reference in the tests. A probe whose squared
+    distances or phases leave the float range raises ArithmeticError.
     """
     if not isinstance(mode, GainMode):
         raise ValueError(f"unknown gain mode {mode!r}")
     probe = np.asarray(probe_point, dtype=float)
     if probe.shape != (3,) or not all(map(math.isfinite, probe.tolist())):
         raise ValueError("probe_point must be a finite 3D point")
-    gain = _gain(setup, probe, mode)
+    tx, k = setup.geometry.tx, setup.geometry.wavenumber
+    xy, z = tx.grid or (tx.positions[:, :2].T, tx.positions[0, 2])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2, per antenna off a grid
+        offsets = probe[:2, None] - xy
+        offsets *= offsets
+        dz = float(probe[2] - z)
+        if tx.grid is None:  # every antenna's distance, by one np.linalg.norm
+            dist = np.linalg.norm(probe - tx.positions, axis=1)
+            coincident = not (dist > 0).all()
+        else:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
+            coincident = dz * dz == 0 and not offsets.min(axis=1).sum() > 0
+        if coincident:
+            raise ValueError("probe point coincides with a transmit antenna")
+        if mode is not GainMode.FRESNEL:
+            if tx.grid is not None:  # antenna (n, m) is row n * S + m, as in `positions`
+                dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
+            # |sum exp(1j (k dist + phases)) (L / dist in exact mode)|^2, in two new arrays
+            angles = k * dist
+            angles += setup.phases
+            phasors = np.multiply(angles, 1j)
+            np.exp(phasors, out=phasors)
+            if mode is GainMode.EXACT:
+                phasors *= np.divide(setup.geometry.separation, dist, out=angles)
+            # np.abs, not abs(): on a numpy complex scalar the two round apart
+            gain = np.abs(np.add.reduce(phasors)) ** 2
+        else:
+            # the expanded phase is k Lz plus, per axis, k (p_x - x)^2 / (2 Lz) and its
+            # steering; k Lz - k L drops out of |.|^2. On a grid the phasor sum factors into
+            # one S-term sum per axis
+            offsets /= 2 * dz
+            phases = np.multiply(offsets, k, out=offsets)
+            phases += setup.fresnel_phases
+            if tx.grid is None:
+                phasors = np.multiply(np.add(phases[0], phases[1]), 1j)
+                np.exp(phasors, out=phasors)
+                gain = np.abs(np.add.reduce(phasors)) ** 2
+            else:
+                phasors = np.multiply(phases, 1j)
+                np.exp(phasors, out=phasors)
+                axis_gains = np.abs(np.add.reduce(phasors, axis=1)) ** 2
+                gain = axis_gains[0] * axis_gains[1]
+        gain = float(gain / tx.size)
     if not math.isfinite(gain):
         raise ArithmeticError(
             f"the {mode.value} gain at probe {tuple(probe.tolist())} is not finite: "
@@ -120,56 +143,20 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
     return gain
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _gain(setup: FocusSetup, probe: np.ndarray, mode: GainMode) -> float:
-    """array_gain from a grid transmit array's 1-D offset tables, or by the per-pair route,
-    the reference in the tests. A square or phase that overflows (a fresnel phase at
-    Lz = 0) makes it nan, which array_gain raises."""
-    tx = setup.geometry.tx
-    xy, z = _axes(tx)
-    # offsets[0, n] = (p_x - x_n)^2 and offsets[1, m] = (p_y - y_m)^2, per antenna off a grid
-    offsets = probe[:2, None] - xy
-    offsets *= offsets
-    dz = float(probe[2] - z)
-    if tx.grid is None:  # every antenna's distance, by one np.linalg.norm
-        dist = np.linalg.norm(probe - tx.positions, axis=1)
-        coincident = not (dist > 0).all()
-    else:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
-        coincident = dz * dz == 0 and not offsets.min(axis=1).sum() > 0
-    if coincident:
-        raise ValueError("probe point coincides with a transmit antenna")
-    if mode is not GainMode.FRESNEL:
-        if tx.grid is not None:  # antenna (n, m) is row n * S + m, as in `positions`
-            dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
-        return _focused_gain(setup, dist, mode)
-    # the expanded phase is k Lz plus, per axis, k (p_x - x)^2 / (2 Lz) and its steering;
-    # k Lz - k L drops out of |.|^2. On a grid the phasor sum factors into one S-term sum
-    # per axis
-    offsets /= 2 * dz
-    phases = np.multiply(offsets, setup.geometry.wavenumber, out=offsets)
-    phases += setup.fresnel_phases
-    if tx.grid is None:
-        phasors = np.multiply(np.add(phases[0], phases[1]), 1j)
-        np.exp(phasors, out=phasors)
-        return float(np.abs(np.add.reduce(phasors)) ** 2 / tx.size)
-    phasors = np.multiply(phases, 1j)
-    np.exp(phasors, out=phasors)
-    axis_gains = np.abs(np.add.reduce(phasors, axis=1)) ** 2
-    return float(axis_gains[0] * axis_gains[1] / tx.size)
-
-
 def array_gain_closed_form(params: SystemParams) -> float:
     """Closed-form gain at the focus's nearest neighbor (d, 0, L).
 
     With x = d^2 / (lambda L): |sin(sqrt(N) pi x) / sin(pi x)|^2, equal to
-    N sinc^2(sqrt(N) x) / sinc^2(x) wherever both are defined. Integer x is
-    a removable singularity and returns the limit N.
+    N sinc^2(sqrt(N) x) / sinc^2(x) wherever both are defined. The ratio has period 1
+    in x, so it is taken at r = x - round(x), which is exact in floats and is x itself
+    for x <= 1/2. Integer x (r = 0) is a removable singularity and returns the limit N,
+    as does a subnormal r, at which the limit is exact in floats and pi r too coarse.
     """
     x = params.spacing**2 / (params.wavelength * params.separation)
-    den = math.sin(math.pi * x)
-    if den == 0.0:
+    r = math.remainder(x, 1.0)  # x - round(x), exactly; raises on an infinite x
+    if abs(r) < np.finfo(float).tiny:  # the smallest normal float
         return float(params.n_antennas)
-    return (math.sin(params.side_count * math.pi * x) / den) ** 2
+    return (math.sin(params.side_count * math.pi * r) / math.sin(math.pi * r)) ** 2
 
 
 def spacing_threshold(params: SystemParams) -> float:

@@ -150,51 +150,52 @@ def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
     return np.divide(g, r, out=g)
 
 
-def _add_slabs(out: np.ndarray, gather: Callable[[slice], np.ndarray], add: bool) -> None:
-    """out += gather(:) if add, else out -= gather(:), one slab of rows of out at a
-    time, so no gathered slab holds more than _SLAB_BYTES and the addend is never
-    materialised whole."""
+def _add_slabs(
+    out: np.ndarray, gather: Callable[[slice], np.ndarray], even: bool, fixed: np.ndarray
+) -> np.ndarray:
+    """The symmetrise step of an involution a -> a': out + gather(:) if even, else
+    out - gather(:), in out, where gather(rows) gives the partners of out[rows].
+
+    Each of out's last two axes runs over the basis vectors (e_a +- e_a') / sqrt(2), and
+    e_a alone at a fixed point a = a' (True in `fixed`), so the even block's fixed rows and
+    columns carry an extra 1 / sqrt(2). One slab of rows of out is added at a time, so no
+    gathered slab holds more than _SLAB_BYTES and the addend is never materialised whole.
+    """
     step = max(1, _SLAB_BYTES // max(1, out[:1].nbytes))
     for start in range(0, len(out), step):
         rows = slice(start, start + step)
-        (np.add if add else np.subtract)(out[rows], gather(rows), out=out[rows])
+        (np.add if even else np.subtract)(out[rows], gather(rows), out=out[rows])
+    if even:
+        out[..., fixed, :] *= 1 / math.sqrt(2)
+        out[..., fixed] *= 1 / math.sqrt(2)
+    return out
 
 
 def _fold(values: np.ndarray, index: np.ndarray, even: bool) -> np.ndarray:
     """Fold values[..., index[n, n']] onto the mirror-even or mirror-odd subspace
     of (n, n'), over the half grid; `index` must be unchanged by reversing both axes.
-
-    The basis vectors are (e_a +- e_{S-1-a}) / sqrt(2), and e_c alone for the centre c
-    of an odd side S, so the even part's centre row and column carry an extra 1 / sqrt(2).
-    """
+    The mirror a -> S-1-a fixes only the centre of an odd side S, where 2a = S-1."""
     side = index.shape[0]
     half = (side + 1) // 2 if even else side // 2
     folded = values[..., index[:half, :half]]
     mirrored = index[:half, ::-1][:, :half]
-    _add_slabs(folded, lambda rows: values[rows][..., mirrored], even)
-    if even and side % 2:
-        folded[..., -1, :] *= 1 / math.sqrt(2)
-        folded[..., -1] *= 1 / math.sqrt(2)
-    return folded
+    centre = 2 * np.arange(half) == side - 1
+    return _add_slabs(folded, lambda rows: values[rows][..., mirrored], even, centre)
 
 
 def _swap_parts(folded: np.ndarray) -> list[np.ndarray]:
     """The swap-symmetric and swap-antisymmetric blocks of folded[i, j, k, l], the
     matrix with rows (k, i) and columns (l, j), unchanged by swapping x and y halves.
 
-    Rows and columns are the pairs (k, i) in np.triu_indices order: k <= i with basis
-    (e_(k,i) + e_(i,k)) / sqrt(2), and e_(i,i) alone, for the symmetric part, so its
-    diagonal rows and columns carry an extra 1 / sqrt(2); k < i for the antisymmetric one.
+    Rows and columns are the pairs (k, i) in np.triu_indices order: k <= i for the
+    symmetric part, whose fixed points are the diagonal pairs k == i; k < i for the
+    antisymmetric one.
     """
     parts = []
     for symmetric in (True, False):
         k, i = np.triu_indices(folded.shape[0], 0 if symmetric else 1)
         part = folded[i[:, None], i, k[:, None], k]
-        _add_slabs(part, lambda rows: folded[i[rows, None], k, k[rows, None], i], symmetric)
-        if symmetric:
-            diagonal = k == i
-            part[diagonal] *= 1 / math.sqrt(2)
-            part[:, diagonal] *= 1 / math.sqrt(2)
+        _add_slabs(part, lambda rows: folded[i[rows, None], k, k[rows, None], i], symmetric, k == i)
         parts.append(part)
     return parts
 

@@ -105,17 +105,19 @@ class NumericalError(ArithmeticError):
 
 @contextlib.contextmanager
 def computing(params: SystemParams):
-    """The numerical-failure boundary: a ValueError or ArithmeticError raised inside (LinAlgError
-    and numpy's FloatingPointError included) comes from computing on accepted input and is
-    re-raised as a NumericalError naming `params`; an inner boundary's passes through."""
+    """The numerical-failure boundary: a ValueError, ArithmeticError or MemoryError raised
+    inside (LinAlgError, numpy's FloatingPointError and a failed allocation included) comes
+    from computing on accepted input and is re-raised as a NumericalError naming `params`;
+    an inner boundary's passes through."""
     try:
         yield
     except NumericalError:
         raise
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         raise NumericalError(
-            f"{exc} at wavelength {params.wavelength!r} m, spacing {params.spacing!r} m and "
-            f"separation {params.separation!r} m, side count {params.side_count}",
+            f"{str(exc) or type(exc).__name__} at wavelength {params.wavelength!r} m, spacing "
+            f"{params.spacing!r} m and separation {params.separation!r} m, side count "
+            f"{params.side_count}",
             params,
         ) from exc
 

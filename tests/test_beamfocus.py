@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from nfmimo.beamfocus import (
     GainMode,
@@ -337,6 +337,32 @@ class TestClosedForm:
                 for f in np.linspace(0.9, 1.1, 101)
             ]
         ).all()
+
+    @pytest.mark.parametrize("side", [5, 20, 25, 100])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_integer_x_gives_n_at_every_side(self, side, m):
+        # d = sqrt(m lambda L) puts x = d^2 / (lambda L) at m, or an ulp off it; sin(pi m)
+        # is not 0 in floats, so the ratio of the two sines used to be rounding error
+        params = system(side=side, spacing=math.sqrt(m * LAM * SEP))
+        assert array_gain_closed_form(params) == pytest.approx(side**2, rel=0, abs=1e-9)
+
+    @given(x=st.floats(min_value=0.0, max_value=50.0), side=st.integers(min_value=1, max_value=100))
+    @example(x=5e-324, side=25)  # a subnormal x, at which pi x keeps one significant bit
+    @example(x=3.0, side=25)
+    def test_gain_between_zero_and_n(self, x, side):
+        spacing = math.sqrt(x)  # x = d^2 / (lambda L) with lambda = L = 1
+        assume(spacing > 0)
+        gain = array_gain_closed_form(system(side=side, spacing=spacing, wavelength=1.0, separation=1.0))
+        assert 0 <= gain <= side**2 * (1 + 1e-12)
+
+    def test_paraxial_integer_x_matches_fresnel_sum(self):
+        # x = 1 with aperture / L = 0.008: the closed form used to give 16.08 for N = 625
+        params = SystemParams(
+            wavelength=0.01, side_count=25, spacing=31.622776601683793, separation=1e5
+        )
+        setup = make_focus_setup(make_system(25, params.spacing, params.wavelength, params.separation))
+        fresnel = array_gain(setup, (params.spacing, 0.0, params.separation), GainMode.FRESNEL)
+        assert array_gain_closed_form(params) == pytest.approx(fresnel, rel=0, abs=1e-9)
 
     def test_no_zero_before_threshold(self):
         d_th = spacing_threshold(system())

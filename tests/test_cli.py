@@ -430,6 +430,23 @@ class TestNumericalErrors:
         code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
         self.assert_numerical(code, capsys, "spacing 0.005 m")
 
+    @pytest.fixture
+    def out_of_memory(self, monkeypatch):
+        # a monkeypatch: a real failed allocation needs a memory limit on the whole process
+        def fail(geometry):
+            raise MemoryError()
+
+        monkeypatch.setattr(experiments, "build_channel", fail)
+
+    def test_report_out_of_memory(self, out_of_memory, capsys):
+        self.assert_numerical(main(["report"]), capsys, "MemoryError at wavelength 0.01 m")
+
+    def test_spec_file_sweep_out_of_memory_names_the_grid_value(self, out_of_memory, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(SPEC))
+        code = main(["sweep", str(spec_file), "--output", str(tmp_path / "out.csv")])
+        self.assert_numerical(code, capsys, "MemoryError at wavelength 0.01 m, spacing 0.005 m")
+
 
 class TestGainmap:
     def test_writes_csv(self, tmp_path, capsys):
@@ -554,10 +571,14 @@ class TestInputChecks:
             ({}, ["gainmap", "--points", "3", "--extent", "twelve"], "--extent must be a length"),
             ({}, ["report", "--side-count", "abc"], "side_count must be an integer, got 'abc'"),
             ({}, ["threshold", "--wavelength", "x"], "wavelength must be a number, got 'x'"),
+            ({"wavelength": True}, ["threshold"], "wavelength must be a number, got True"),
+            ({"wavelength": None}, ["threshold"], "wavelength must be a number, got None"),
+            ({"wavelength": [0.01]}, ["threshold"], "wavelength must be a number, got [0.01]"),
         ],
         ids=[
             "config_side_count", "config_wavelength", "config_power", "config_wavelength_overflow",
             "config_spacing_bool", "flag_spacing", "flag_extent", "flag_side_count", "flag_wavelength",
+            "config_wavelength_bool", "config_wavelength_null", "config_wavelength_list",
         ],
     )
     def test_non_numeric_value_names_its_field(self, tmp_path, monkeypatch, capsys, config, argv, message):
