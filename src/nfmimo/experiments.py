@@ -50,6 +50,13 @@ def _is_number(value) -> bool:
         return False
 
 
+def _plain(value):
+    """A number as the Python int or float it equals, which JSON holds; anything else as is."""
+    if not _is_number(value):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
 def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
@@ -136,10 +143,12 @@ class SweepSpec(SystemParams):
     def __post_init__(self):
         if self.swept_variable not in SWEPT_VARIABLES:
             raise ValueError(f"swept_variable must be one of {SWEPT_VARIABLES}")
-        if not hasattr(self.grid, "__iter__"):
+        if not isinstance(self.grid, (list, tuple, np.ndarray)):
             raise ValueError(f"sweep grid must be a list of numbers, got {self.grid!r}")
-        grid = tuple(self.grid)
+        grid = tuple(map(_plain, self.grid))
         object.__setattr__(self, "grid", grid)
+        for f in fields(SystemParams):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
         swept = SWEPT_FIELD[self.swept_variable]
         if getattr(self, swept) is not None:
             raise ValueError(f"{swept} is swept and must not also be fixed")

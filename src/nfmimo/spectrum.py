@@ -10,7 +10,7 @@ trace ratio tr^2(GG^H) / ||GG^H||_F^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,20 @@ DOF_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Descending eigenvalues mu_i^2 of G G^H with dimension metadata."""
+    """Eigenvalues mu_i^2 of G G^H, kept as a read-only descending float copy, and their
+    sum `total_energy`; raises ValueError unless that sum is positive and finite."""
 
     values: np.ndarray
-    total_energy: float
     source_dims: tuple[int, int]
+    total_energy: float = field(init=False)
+
+    def __post_init__(self):
+        values = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "total_energy", float(values.sum()))
+        if not 0 < self.total_energy < np.inf:  # an empty spectrum sums to 0
+            raise ValueError(f"eigenvalues need a positive finite sum, got {self.total_energy!r}")
 
 
 @dataclass(frozen=True)
@@ -63,22 +72,16 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     QR route it takes for the transpose. Square and tall matrices go in as
     they are.
     """
-    if 0 in channel.shape:
-        raise ValueError("empty channel matrix")
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
     singular = []
     for block, multiplicity in channel.blocks or ((channel.entries, 1),):
         tall = block.T if block.shape[0] < block.shape[1] else block
         singular += [np.linalg.svd(tall, compute_uv=False)] * multiplicity
-    values = np.sort(np.concatenate(singular) ** 2)[::-1].copy()
-    values.setflags(write=False)
-    return EigenSpectrum(values, float(values.sum()), channel.shape)
+    return EigenSpectrum(np.concatenate(singular) ** 2, channel.shape)
 
 
 def count_dof(spectrum: EigenSpectrum) -> int:
     """Number of eigenvalues at or above DOF_FLOOR times the largest."""
-    if spectrum.values.size == 0:
-        raise ValueError("empty spectrum")
     return int(np.count_nonzero(spectrum.values >= DOF_FLOOR * spectrum.values[0]))
 
 
@@ -86,8 +89,6 @@ def edof_exact(spectrum: EigenSpectrum, fraction: float = DEFAULT_ENERGY_FRACTIO
     """Smallest n whose top-n eigenvalues hold >= fraction of the energy."""
     if not 0 < fraction < 1:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if spectrum.total_energy <= 0:
-        raise ValueError("spectrum has zero total energy")
     cumulative = np.cumsum(spectrum.values) / spectrum.total_energy
     # the cumsum can end below 1 (total_energy is the pairwise sum), but all values hold it all
     return min(int(np.searchsorted(cumulative, fraction)) + 1, spectrum.values.size)
@@ -117,10 +118,6 @@ def edof_trace(spectrum: EigenSpectrum) -> float:
 
     Exactly r for a spectrum with r equal nonzero values; scale invariant.
     """
-    if spectrum.values.size == 0:
-        raise ValueError("empty spectrum")
-    if spectrum.total_energy <= 0:
-        raise ValueError("spectrum has zero total energy")
     fourth = float(np.sum(spectrum.values**2))
     if not fourth > 0:  # every mu_i^4 underflows; dividing would warn and give nan or inf
         raise ArithmeticError(

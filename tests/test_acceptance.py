@@ -198,7 +198,7 @@ def test_criterion_7_property_suite():
     report(7, "Gram matrix Hermitian PSD", hermitian and psd)
 
     values = spectrum.values * abs(2.5 - 1.5j) ** 2
-    scaled = EigenSpectrum(values, float(values.sum()), (N, N))
+    scaled = EigenSpectrum(values, (N, N))
     ok_scale = np.isclose(edof_trace(scaled), edof_trace(spectrum), rtol=1e-12)
     rng = np.random.default_rng(0)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

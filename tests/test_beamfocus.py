@@ -72,6 +72,10 @@ class TestFocusingPhases:
         with pytest.raises(ValueError):
             focusing_phases(geo, tuple(geo.tx.positions[0]))
 
+    def test_non_finite_focus_rejected(self):
+        with pytest.raises(ValueError, match="focus_point must be a finite 3D point"):
+            focusing_phases(make_system(side=3, spacing=0.01), (0, 0, np.inf))
+
 
 class TestWrapPhase:
     def test_boundaries(self):
@@ -133,6 +137,12 @@ class TestArrayGain:
         setup = make_focus_setup(make_system(side=2, spacing=0.01))
         with pytest.raises(ValueError):
             array_gain(setup, (0, 0, SEP), "exact")
+
+    @pytest.mark.parametrize("probe", [(0.0, 0.0), (np.nan, 0, 40)], ids=["2d", "nan"])
+    def test_probe_that_is_no_finite_3d_point_rejected(self, probe):
+        setup = make_focus_setup(make_system(side=2, spacing=0.01))
+        with pytest.raises(ValueError, match="probe_point must be a finite 3D point"):
+            array_gain(setup, probe)
 
 
 def pair_route(setup):

@@ -53,6 +53,10 @@ class TestGreens:
         with pytest.raises(ValueError):
             greens((0, 0, 0), (0, 0, 1), -0.01)
 
+    def test_point_that_is_not_3d_rejected(self):
+        with pytest.raises(ValueError, match="points must be 3D"):
+            greens((0, 0), (0, 0, 1), 0.01)
+
 
 class TestSystemGeometry:
     def test_separation(self):

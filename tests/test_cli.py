@@ -669,6 +669,31 @@ class TestInputChecks:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0.05", {"a": 1}], ids=["string", "object"])
+    def test_spec_grid_that_is_no_list_is_named_whole(self, tmp_path, capsys, grid):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**SPEC, "grid": grid}))
+        out = tmp_path / "never.csv"
+        assert main(["sweep", str(spec_file), "--output", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: sweep grid must be a list of numbers, got {grid!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("report --config", [1], "a config file must hold a JSON object"),
+            ("sweep", [1, 2], "a sweep spec must be a JSON object"),
+        ],
+        ids=["config", "spec"],
+    )
+    def test_json_file_that_holds_no_object(self, tmp_path, monkeypatch, capsys, command, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert main([*command.split(), str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 def test_subcommand_flags():
     """Each subcommand takes exactly the options its handler reads."""

@@ -212,6 +212,25 @@ class TestRunSweep:
         write_sweep_csv(run_sweep(again), second, spec=again)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(swept_variable="antennas_per_side", grid=np.arange(2, 4), wavelength=0.01,
+                      spacing=0.05, separation=1.0),
+            small_spec(grid=np.array([0.004, 0.008]), side_count=np.int64(3), wavelength=np.float64(LAM)),
+        ],
+        ids=["numpy_grid", "numpy_fixed_fields"],
+    )
+    def test_numpy_numbers_write_a_sidecar_that_reruns(self, tmp_path, spec):
+        first = tmp_path / "first.csv"
+        write_sweep_csv(run_sweep(spec), first, spec=spec)
+        again = SweepSpec.from_dict(json.loads((tmp_path / "first.csv.spec.json").read_text()))
+        second = tmp_path / "second.csv"
+        write_sweep_csv(run_sweep(again), second, spec=again)
+        assert first.read_bytes() == second.read_bytes()
+        sidecars = [(tmp_path / f"{name}.csv.spec.json").read_bytes() for name in ("first", "second")]
+        assert sidecars[0] == sidecars[1]
+
 
 class TestEigenProfile:
     def test_single_antenna_single_point(self):

@@ -65,6 +65,10 @@ class TestBuildUpa:
         with pytest.raises(ValueError):
             build_upa(2, 0.0, 0.0)  # zero spacing only valid for a single antenna
 
+    def test_rejects_infinite_plane_offset(self):
+        with pytest.raises(ValueError, match="plane_offset must be finite, got inf"):
+            build_upa(3, 0.01, np.inf)
+
     def test_positions_are_read_only(self):
         arr = build_upa(3, 0.1, 0.0)
         with pytest.raises(ValueError):

@@ -32,11 +32,10 @@ def matrix_channel(entries):
 
 
 def synthetic(values, dims=None):
-    """An EigenSpectrum of the given values, sorted descending as eigen_spectrum sorts them."""
-    values = np.sort(np.asarray(values, dtype=float))[::-1].copy()
+    """An EigenSpectrum of the given values, square dims of their count by default."""
     if dims is None:
-        dims = (values.size, values.size)
-    return EigenSpectrum(values, float(values.sum()), dims)
+        dims = (len(values), len(values))
+    return EigenSpectrum(values, dims)
 
 
 def eigvalsh_spectrum(gram, dims):
@@ -88,6 +87,39 @@ class TestEigenSpectrum:
         right = eigen_spectrum(matrix_channel(g @ q))
         np.testing.assert_allclose(left.values, base.values, rtol=1e-10)
         np.testing.assert_allclose(right.values, base.values, rtol=1e-10)
+
+
+class TestEigenSpectrumInvariants:
+    """An EigenSpectrum orders, totals and checks the values it is given."""
+
+    def test_unsorted_input_is_stored_descending_and_read_only(self):
+        given = np.array([1.0, 4.0, 0.0, 2.0])
+        spec = EigenSpectrum(given, (4, 4))
+        assert spec.values.tolist() == [4.0, 2.0, 1.0, 0.0]
+        assert given.tolist() == [1.0, 4.0, 0.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0] = 5.0
+
+    def test_total_energy_is_the_sum_of_the_stored_values(self):
+        spec = EigenSpectrum([1.1] * 7 + [3], (8, 8))
+        assert spec.total_energy == float(spec.values.sum())
+        with pytest.raises(TypeError):
+            EigenSpectrum(np.array([1.0]), 2.0, (1, 1))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]],
+        ids=["empty", "zero", "inf", "nan"],
+    )
+    def test_no_positive_finite_total_is_rejected_when_built(self, values):
+        with pytest.raises(ValueError, match="positive finite sum"):
+            EigenSpectrum(values, (2, 2))
+
+    def test_unsorted_values_give_the_sorted_counts_and_capacity(self):
+        spec = EigenSpectrum(np.array([0.0, 1.0]), (2, 2))
+        assert count_dof(spec) == 1
+        assert edof_exact(spec) == 1
+        assert capacity(spec, 10.0, 1.0, 2, 1) == pytest.approx(math.log2(6), rel=1e-15)
 
 
 def preset_systems(name):
