@@ -178,12 +178,10 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     target = args.preset
     if target in experiments.PRESETS or not os.path.exists(target):
-        payload, notes = experiments.load_preset(target)
+        payload = experiments.load_preset(target)
         default_output = f"{target}.csv"
     else:
-        data = _read_json(target)
-        payload = experiments.SweepSpec.from_dict(data)
-        notes = data.get("notes")
+        payload = experiments.SweepSpec.from_dict(_read_json(target))
         stem = os.path.splitext(target)[0]
         default_output = f"{stem}.out.csv"
     output = args.output or default_output
@@ -198,7 +196,7 @@ def cmd_sweep(args) -> int:
 
     _check_outputs(output, f"{output}.spec.json")
     records = experiments.run_sweep(payload)
-    experiments.write_sweep_csv(records, output, spec=payload, notes=notes)
+    experiments.write_sweep_csv(records, output, spec=payload)
     print(f"wrote {len(records)} records to {output} (+ sidecar {output}.spec.json)")
     return EXIT_OK
 
@@ -292,10 +290,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        # numpy's FloatingPointError is an ArithmeticError: one error line, no warnings
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # looked up at call time, so a replaced module attribute (a tracer's) runs
-            return globals()[f"cmd_{args.command}"](args)
+        # looked up at call time, so a replaced module attribute (a tracer's) runs
+        return globals()[f"cmd_{args.command}"](args)
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

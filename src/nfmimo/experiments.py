@@ -23,7 +23,7 @@ import contextlib
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -112,12 +112,14 @@ class NumericalError(ArithmeticError):
 
 @contextlib.contextmanager
 def computing(params: SystemParams):
-    """The numerical-failure boundary: a ValueError, ArithmeticError or MemoryError raised
-    inside (LinAlgError, numpy's FloatingPointError and a failed allocation included) comes
-    from computing on accepted input and is re-raised as a NumericalError naming `params`;
-    an inner boundary's passes through."""
+    """The numerical-failure boundary: inside it numpy raises FloatingPointError where it would
+    warn of an overflow, a division by zero or an invalid value, and a ValueError,
+    ArithmeticError or MemoryError raised inside (LinAlgError, FloatingPointError and a failed
+    allocation included) comes from computing on accepted input and is re-raised as a
+    NumericalError naming `params`; an inner boundary's passes through."""
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
     except NumericalError:
         raise
     except (ValueError, ArithmeticError, MemoryError) as exc:
@@ -139,6 +141,7 @@ class SweepSpec(SystemParams):
     side_count: int | None = None
     spacing: float | None = None
     separation: float | None = None
+    notes: dict | None = field(default=None, compare=False)  # written to the sidecar; no result reads them
 
     def __post_init__(self):
         if self.swept_variable not in SWEPT_VARIABLES:
@@ -174,6 +177,8 @@ class SweepSpec(SystemParams):
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["grid"] = list(self.grid)
+        if not self.notes:
+            del data["notes"]
         return data
 
     @classmethod
@@ -181,7 +186,7 @@ class SweepSpec(SystemParams):
         if not isinstance(data, dict):
             raise ValueError("a sweep spec must be a JSON object")
         names = {f.name for f in fields(cls)}
-        unknown = set(data) - names - {"notes"}
+        unknown = set(data) - names
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
@@ -297,11 +302,11 @@ def validate_closed_form(spec: SweepSpec) -> float:
     return max(errors)
 
 
-def write_sweep_csv(records, path, spec: SweepSpec, notes=None) -> None:
+def write_sweep_csv(records, path, spec: SweepSpec) -> None:
     """Write records as CSV (17 significant digits) plus a JSON sidecar.
 
-    The sidecar at <path>.spec.json holds the resolved spec; feeding it back
-    through run_sweep reproduces the identical CSV.
+    The sidecar at <path>.spec.json holds the resolved spec, notes included; feeding it
+    back through run_sweep reproduces the identical CSV.
     """
 
     def fmt(v):
@@ -313,11 +318,8 @@ def write_sweep_csv(records, path, spec: SweepSpec, notes=None) -> None:
         fh.write(",".join(RECORD_FIELDS) + "\n")
         for rec in records:
             fh.write(",".join(fmt(v) for v in rec.as_row()) + "\n")
-    sidecar = spec.to_dict()
-    if notes:
-        sidecar["notes"] = notes
     with open(str(path) + ".spec.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -335,61 +337,57 @@ _FIG5_THRESHOLD = beamfocus.spacing_threshold(SystemParams(spacing=0.01, **_FIG5
 # quarter-wavelength steps plus the exact threshold point: the half-wavelength grid misses the
 # EDoF peak and aliases the secondary gain null near epsilon = 2 into a spurious global maximum
 _FIG5_GRID = tuple(sorted({*(np.arange(8, 80.001, 1) * 0.25 * 0.01).tolist(), _FIG5_THRESHOLD}))
-_FIG5 = (
-    SweepSpec(swept_variable="spacing", grid=_FIG5_GRID, **_FIG5_SYSTEM),
-    {
+_FIG5 = SweepSpec(
+    swept_variable="spacing",
+    grid=_FIG5_GRID,
+    **_FIG5_SYSTEM,
+    notes={
         "grid": "0.25 lambda steps over [2, 20] lambda plus the exact threshold "
         "spacing, so the sweep samples the predicted EDoF peak"
     },
 )
 
-# name -> (payload, notes), built once: a SweepSpec runs as a sweep and a plain
-# SystemParams gives its eigenvalue profile; fig6 and fig9 are the fig5 sweep
+# name -> payload, built once: a SweepSpec runs as a sweep and a plain SystemParams
+# gives its eigenvalue profile; fig6 and fig9 are the fig5 sweep
 PRESETS = {
-    "fig2": (
-        SweepSpec(
-            swept_variable="antennas_per_side",
-            grid=(5, 10, 20, 40),
-            wavelength=0.01,
-            spacing=0.005,
-            separation=40.0,
-        ),
-        {
+    "fig2": SweepSpec(
+        swept_variable="antennas_per_side",
+        grid=(5, 10, 20, 40),
+        wavelength=0.01,
+        spacing=0.005,
+        separation=40.0,
+        notes={
             "inferred": "wavelength and separation are not given for this figure; "
             "the fig5 values (0.01 m, 40 m) are used"
         },
     ),
     # 20 x 20 arrays with the spacing threshold at 3.2 lambda fixes
     # L = sqrt(N) d_threshold^2 / lambda = 2.048 m
-    "fig3": (
-        SweepSpec(
-            swept_variable="spacing",
-            grid=tuple((np.arange(4, 20.001, 1) * 0.25 * 0.01).tolist()),
-            wavelength=0.01,
-            side_count=20,
-            separation=20 * (3.2 * 0.01) ** 2 / 0.01,
-        ),
-        {
+    "fig3": SweepSpec(
+        swept_variable="spacing",
+        grid=tuple((np.arange(4, 20.001, 1) * 0.25 * 0.01).tolist()),
+        wavelength=0.01,
+        side_count=20,
+        separation=20 * (3.2 * 0.01) ** 2 / 0.01,
+        notes={
             "inferred": "separation is not given for this figure; it is derived from "
             "the stated threshold d = 3.2 lambda for 20x20 arrays (L = 2.048 m)"
         },
     ),
     "fig5": _FIG5,
     "fig6": _FIG5,
-    "fig7": (SystemParams(spacing=0.8 * _FIG5_THRESHOLD, **_FIG5_SYSTEM), {}),
-    "fig8": (SystemParams(spacing=1.5 * _FIG5_THRESHOLD, **_FIG5_SYSTEM), {}),
+    "fig7": SystemParams(spacing=0.8 * _FIG5_THRESHOLD, **_FIG5_SYSTEM),
+    "fig8": SystemParams(spacing=1.5 * _FIG5_THRESHOLD, **_FIG5_SYSTEM),
     "fig9": _FIG5,
-    "xl": (
-        SweepSpec(
-            swept_variable="antennas_per_side",
-            grid=(25, 50, 75, 100),
-            wavelength=0.01,
-            spacing=beamfocus.spacing_threshold(
-                SystemParams(wavelength=0.01, side_count=100, spacing=0.01, separation=40.0)
-            ),
-            separation=40.0,
+    "xl": SweepSpec(
+        swept_variable="antennas_per_side",
+        grid=(25, 50, 75, 100),
+        wavelength=0.01,
+        spacing=beamfocus.spacing_threshold(
+            SystemParams(wavelength=0.01, side_count=100, spacing=0.01, separation=40.0)
         ),
-        {
+        separation=40.0,
+        notes={
             "grid": "the fig5 wavelength and separation at spacing sqrt(lambda L / 100) = 6.32 "
             "lambda, the threshold of the largest array, 100 x 100"
         },
@@ -397,8 +395,8 @@ PRESETS = {
 }
 
 
-def load_preset(name: str) -> tuple[SystemParams, dict]:
-    """The preset's (payload, notes): a SweepSpec, or SystemParams for a profile."""
+def load_preset(name: str) -> SystemParams:
+    """The preset's payload: a SweepSpec, or SystemParams for a profile."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     return PRESETS[name]

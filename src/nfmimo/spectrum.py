@@ -10,6 +10,7 @@ trace ratio tr^2(GG^H) / ||GG^H||_F^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,13 @@ def edof_fringes(area_tx: float, area_rx: float, wavelength: float, separation: 
     ):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v}")
-    return (area_tx * area_rx) / (wavelength**2 * separation**2)
+    try:
+        fringes = (area_tx * area_rx) / (wavelength**2 * separation**2)
+    except ArithmeticError:  # a square overflows, or (lambda L)^2 underflows to 0
+        fringes = math.inf
+    if not math.isfinite(fringes):  # or the product or quotient overflows
+        raise ArithmeticError("the fringe EDoF A_S A_R / (lambda L)^2 leaves the float range")
+    return fringes
 
 
 def plane_area(array: PlanarArray) -> float:
@@ -139,11 +146,11 @@ def capacity(
     sum over the top `truncate_to` eigenvalues (all when None) of
     log2(1 + P mu_i^2 / (sigma_n^2 N_S)).
     """
-    if total_power < 0:
+    if not total_power >= 0:
         raise ValueError(f"total_power must be >= 0, got {total_power}")
-    if noise_variance <= 0:
+    if not noise_variance > 0:
         raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    if n_tx < 1:
+    if not n_tx >= 1:
         raise ValueError(f"n_tx must be >= 1, got {n_tx}")
     n = spectrum.values.size
     if truncate_to is None:

@@ -44,7 +44,7 @@ def report(number, label, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def fig5():
-    spec, _ = load_preset("fig5")
+    spec = load_preset("fig5")
     return spec, run_sweep(spec)
 
 
@@ -226,7 +226,7 @@ def test_criterion_7_property_suite():
 
 
 def test_criterion_8_antenna_trend():
-    spec, _ = load_preset("fig2")
+    spec = load_preset("fig2")
     records = run_sweep(spec)
     edofs = [r.n_edof_exact for r in records]
     ok_nondecreasing = all(b >= a for a, b in zip(edofs, edofs[1:]))

@@ -157,6 +157,15 @@ class TestSweep:
         assert code == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("notes", [{}, None], ids=["empty", "absent"])
+    def test_sidecar_holds_no_empty_notes(self, tmp_path, capsys, notes):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(SPEC if notes is None else {**SPEC, "notes": notes}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(spec_file), "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert "notes" not in json.loads((tmp_path / "sweep.csv.spec.json").read_text())
+
     def test_empty_grid_is_validation_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(
@@ -257,6 +266,24 @@ class TestNumericalErrors:
         # every mu_i^4 underflows to 0; a numpy warning would fail the suite
         code = main(["report", "--separation", "1e150", "--side-count", "2", "--spacing", "1"])
         self.assert_numerical(code, capsys, "trace-ratio EDoF", "underflows to 0")
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [("1e-154", "1e-154", "1e-154"), ("1e-5", "1e75", "1e-5")],
+        ids=["underflow", "overflow"],
+    )
+    def test_fringe_edof_out_of_float_range_names_the_lengths(self, capsys, lengths):
+        # (lambda L)^2 underflows to 0, or the estimate overflows to inf
+        wavelength, spacing, separation = lengths
+        code = main(["report", "--wavelength", wavelength, "--spacing", spacing,
+                     "--separation", separation, "--side-count", "2"])
+        err = self.assert_numerical(
+            code, capsys, "the fringe EDoF A_S A_R / (lambda L)^2 leaves the float range at "
+            f"wavelength {float(wavelength)!r} m, spacing {float(spacing)!r} m and separation "
+            f"{float(separation)!r} m, side count 2"
+        )
+        for name in ("wavelength", "spacing", "separation"):
+            assert err.count(f"{name} ") == 1
 
     @pytest.mark.parametrize("mode", ["exact", "phase_only", "fresnel"])
     def test_gainmap_extent_overflows(self, tmp_path, capsys, mode):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ class TestRunSweep:
         assert err.value.params.spacing == 0.004
         assert isinstance(err.value.__cause__, FloatingPointError)
 
+    def test_numpy_overflow_raises_numerical_error_without_warning(self):
+        # the library sweep raises where `nfmimo report --power 1e308` exits 2: the capacity's
+        # P mu_i^2 overflows, which numpy would otherwise warn about and return as inf
+        spec = small_spec(grid=(0.002,), side_count=5, separation=0.05, power=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                run_sweep(spec)
+        assert str(err.value) == (
+            "overflow encountered in multiply at wavelength 0.01 m, spacing 0.002 m and "
+            "separation 0.05 m, side count 5"
+        )
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
     def test_deterministic_csv_bytes(self, tmp_path):
         spec = small_spec(grid=(0.004, 0.008))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -193,9 +208,9 @@ class TestRunSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_header_and_sidecar(self, tmp_path):
-        spec = small_spec()
+        spec = small_spec(notes={"k": "v"})
         path = tmp_path / "out.csv"
-        write_sweep_csv(run_sweep(spec), path, spec=spec, notes={"k": "v"})
+        write_sweep_csv(run_sweep(spec), path, spec=spec)
         header = path.read_text().split("\n", 1)[0]
         assert header == ",".join(RECORD_FIELDS)
         sidecar = json.loads((tmp_path / "out.csv.spec.json").read_text())
@@ -211,6 +226,27 @@ class TestRunSweep:
         second = tmp_path / "second.csv"
         write_sweep_csv(run_sweep(again), second, spec=again)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: load_preset("fig3"), lambda: small_spec(notes={"k": "v"})],
+        ids=["fig3", "small_spec_notes"],
+    )
+    def test_notes_survive_the_sidecar_roundtrip(self, tmp_path, make):
+        spec = make()
+        first = tmp_path / "first.csv"
+        write_sweep_csv(run_sweep(spec), first, spec=spec)
+        again = SweepSpec.from_dict(json.loads((tmp_path / "first.csv.spec.json").read_text()))
+        assert again.notes == spec.notes
+        second = tmp_path / "second.csv"
+        write_sweep_csv(run_sweep(again), second, spec=again)
+        assert first.read_bytes() == second.read_bytes()
+        sidecars = [(tmp_path / f"{name}.csv.spec.json").read_bytes() for name in ("first", "second")]
+        assert sidecars[0] == sidecars[1]
+
+    def test_notes_change_neither_equality_nor_hash(self):
+        spec = load_preset("fig5")
+        assert hash(spec) == hash(dataclasses.replace(spec, notes=None))
+        assert dataclasses.replace(spec, notes={"x": 1}) == spec
 
     @pytest.mark.parametrize(
         "spec",
@@ -313,39 +349,39 @@ class TestPresets:
 
     def test_payload_type_gives_the_output_kind(self):
         for name in self.SWEEPS:
-            payload, notes = load_preset(name)
+            payload = load_preset(name)
             assert isinstance(payload, SweepSpec), name
-            assert notes, name
+            assert payload.notes, name
         for name in self.PROFILES:
-            payload, notes = load_preset(name)
+            payload = load_preset(name)
             assert isinstance(payload, SystemParams), name
             assert not isinstance(payload, SweepSpec), name
-            assert notes == {}, name
+            assert not hasattr(payload, "notes"), name
 
     def test_fig5_grid_contains_threshold(self):
-        spec, _ = load_preset("fig5")
+        spec = load_preset("fig5")
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert any(abs(g - d_th) < 1e-12 for g in spec.grid)
         assert spec.grid[0] == pytest.approx(2 * LAM)
         assert spec.grid[-1] == pytest.approx(20 * LAM)
 
     def test_fig3_threshold_at_3p2_lambda(self):
-        spec, notes = load_preset("fig3")
+        spec = load_preset("fig3")
         d_th = np.sqrt(spec.wavelength * spec.separation / spec.side_count)
         assert d_th == pytest.approx(3.2 * LAM, rel=1e-12)
-        assert "inferred" in notes
+        assert "inferred" in spec.notes
 
     def test_xl_largest_array_sits_at_its_threshold(self):
         # the spec only: the 100 x 100 point takes about 22 s, so tier-1 never runs it
-        spec, _ = load_preset("xl")
+        spec = load_preset("xl")
         assert spec.swept_variable == "antennas_per_side"
         assert spec.grid == (25, 50, 75, 100)
         assert (spec.wavelength, spec.separation) == (LAM, 40.0)
         assert spec.spacing == pytest.approx(np.sqrt(LAM * 40.0 / 100), rel=1e-12)
 
     def test_fig7_fig8_profiles(self):
-        params7, _ = load_preset("fig7")
-        params8, _ = load_preset("fig8")
+        params7 = load_preset("fig7")
+        params8 = load_preset("fig8")
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert params7.spacing == pytest.approx(0.8 * d_th)
         assert params8.spacing == pytest.approx(1.5 * d_th)

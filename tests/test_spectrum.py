@@ -124,7 +124,7 @@ class TestEigenSpectrumInvariants:
 
 def preset_systems(name):
     """Every geometry a figure preset computes: each sweep point, or the one profile."""
-    payload, _ = load_preset(name)
+    payload = load_preset(name)
     points = [payload.at(v) for v in payload.grid] if isinstance(payload, SweepSpec) else [payload]
     return [coaxial_system(p) for p in points]
 
@@ -347,6 +347,11 @@ class TestEdofExact:
         with pytest.raises(ValueError):
             edof_exact(synthetic([0.0, 0.0]))
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+    def test_fraction_outside_the_open_unit_interval_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\)"):
+            edof_exact(synthetic([1.0, 1.0]), fraction)
+
     def test_bounded_by_dof(self):
         spec = eigen_spectrum(make_channel(side=4))
         assert 1 <= edof_exact(spec) <= count_dof(spec) <= 16
@@ -381,6 +386,27 @@ class TestEdofFringes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             edof_fringes(0.0, 1.0, 0.01, 40.0)
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 1.0, 1e-160, 1e-160), (1e200, 1e200, 1.0, 1.0)], ids=["underflow", "overflow"]
+    )
+    def test_leaving_the_float_range_names_the_fringe_edof(self, args):
+        # (lambda L)^2 underflows to 0, or A_S A_R overflows to inf
+        with pytest.raises(ArithmeticError, match="fringe EDoF"):
+            edof_fringes(*args)
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=4, max_size=4))
+    def test_a_finite_estimate_keeps_its_bits(self, args):
+        area_tx, area_rx, wavelength, separation = args
+        try:
+            expected = (area_tx * area_rx) / (wavelength**2 * separation**2)
+        except ArithmeticError:
+            expected = math.inf
+        if math.isfinite(expected):
+            assert edof_fringes(*args) == expected
+        else:
+            with pytest.raises(ArithmeticError, match="fringe EDoF"):
+                edof_fringes(*args)
 
 
 class TestPlaneArea:
@@ -463,3 +489,18 @@ class TestCapacity:
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
             capacity(synthetic([1.0]), 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 1.0, 2), "total_power must be >= 0"),
+            ((1.0, math.nan, 2), "noise_variance must be positive"),
+            ((1.0, 1.0, math.nan), "n_tx must be >= 1"),
+            ((-1.0, 1.0, 2), "total_power must be >= 0"),
+            ((1.0, 1.0, 0), "n_tx must be >= 1"),
+        ],
+        ids=["nan_power", "nan_noise", "nan_n_tx", "negative_power", "zero_n_tx"],
+    )
+    def test_rejected_inputs(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            capacity(synthetic([1.0, 1.0]), *args)
