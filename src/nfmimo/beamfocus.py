@@ -152,8 +152,13 @@ def array_gain_closed_form(params: SystemParams) -> float:
     for x <= 1/2. Integer x (r = 0) is a removable singularity and returns the limit N,
     as does a subnormal r, at which the limit is exact in floats and pi r too coarse.
     """
-    x = params.spacing**2 / (params.wavelength * params.separation)
-    r = math.remainder(x, 1.0)  # x - round(x), exactly; raises on an infinite x
+    try:
+        x = params.spacing**2 / (params.wavelength * params.separation)
+    except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
+        x = math.inf
+    if not math.isfinite(x):  # or the quotient overflows
+        raise ArithmeticError("x = d^2 / (lambda L) leaves the float range")
+    r = math.remainder(x, 1.0)  # x - round(x), exactly
     if abs(r) < np.finfo(float).tiny:  # the smallest normal float
         return float(params.n_antennas)
     return (math.sin(params.side_count * math.pi * r) / math.sin(math.pi * r)) ** 2

@@ -108,6 +108,10 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
 
     Returns -exp(i k r) / (4 pi r) with k = 2 pi / wavelength and
     r the Euclidean distance. The magnitude is exactly 1 / (4 pi r).
+
+    No module calls it: `build_channel` assembles every entry from shared offset
+    tables. It stays as the package's per-pair definition of an entry, the
+    reference that the tests and acceptance criterion 7 check the channel against.
     """
     if not math.isfinite(wavelength) or wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")

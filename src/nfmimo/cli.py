@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import beamfocus, experiments
+from . import beamfocus, experiments, spectrum
 from .beamfocus import GainMode
 from .channel import build_channel  # noqa: F401  (benchmarks/test_benchmark.py traces it here)
 from .experiments import SystemParams, coaxial_system, computing
@@ -55,7 +55,8 @@ FLAGS = {
     "side_count": "antennas per side",
     "spacing": "antenna spacing (meters or e.g. 0.5lambda)",
     "separation": "plane separation (meters or e.g. 4000lambda)",
-    "energy_fraction": "fraction of the Gram energy the exact EDoF captures (default 0.999)",
+    "energy_fraction": "fraction of the Gram energy the exact EDoF captures "
+    f"(default {spectrum.DEFAULT_ENERGY_FRACTION})",
     "power": "total transmit power at unit noise variance",
     "output": "output file path",
 }

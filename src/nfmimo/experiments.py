@@ -23,7 +23,7 @@ import contextlib
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -146,6 +146,10 @@ class SweepSpec(SystemParams):
     def __post_init__(self):
         if self.swept_variable not in SWEPT_VARIABLES:
             raise ValueError(f"swept_variable must be one of {SWEPT_VARIABLES}")
+        try:
+            json.dumps(self.notes, sort_keys=True)  # as the sidecar writes them
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"notes must be JSON the sidecar can write: {exc}") from None
         if not isinstance(self.grid, (list, tuple, np.ndarray)):
             raise ValueError(f"sweep grid must be a list of numbers, got {self.grid!r}")
         grid = tuple(map(_plain, self.grid))
@@ -209,9 +213,6 @@ class SweepRecord:
     capacity_edof_fringes: float
     capacity_edof_trace: float
     epsilon: float
-
-    def as_row(self) -> tuple:
-        return tuple(getattr(self, f) for f in RECORD_FIELDS)
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
@@ -317,7 +318,7 @@ def write_sweep_csv(records, path, spec: SweepSpec) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n")
         for rec in records:
-            fh.write(",".join(fmt(v) for v in rec.as_row()) + "\n")
+            fh.write(",".join(fmt(v) for v in astuple(rec)) + "\n")
     with open(str(path) + ".spec.json", "w") as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

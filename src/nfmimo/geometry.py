@@ -56,13 +56,9 @@ class PlanarArray:
         return self.side_count**2
 
     @property
-    def side_length(self) -> float:
-        """Aperture side: each antenna owns a spacing x spacing cell."""
-        return self.side_count * self.spacing
-
-    @property
     def area(self) -> float:
-        return self.side_length**2
+        """Aperture area: each antenna owns a spacing x spacing cell."""
+        return (self.side_count * self.spacing) ** 2
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, float] | None:

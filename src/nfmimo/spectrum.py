@@ -11,7 +11,7 @@ trace ratio tr^2(GG^H) / ||GG^H||_F^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,16 +48,10 @@ class EdofReport:
     n_edof_exact: int
     n_edof_fringes: float
     n_edof_trace: float
-    energy_fraction_used: float
+    energy_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_dof": self.n_dof,
-            "n_edof_exact": self.n_edof_exact,
-            "n_edof_fringes": self.n_edof_fringes,
-            "n_edof_trace": self.n_edof_trace,
-            "energy_fraction": self.energy_fraction_used,
-        }
+        return asdict(self)
 
 
 def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
@@ -174,5 +168,5 @@ def edof_report(
         n_edof_exact=edof_exact(spectrum, fraction),
         n_edof_fringes=edof_fringes(area_tx, area_rx, wavelength, separation),
         n_edof_trace=edof_trace(spectrum),
-        energy_fraction_used=fraction,
+        energy_fraction=fraction,
     )

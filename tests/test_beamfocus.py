@@ -381,6 +381,45 @@ class TestClosedForm:
         ]
         assert min(gains) > 0.0
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            {"wavelength": 1e-300, "separation": 1e-300, "spacing": 1.0},  # lambda L underflows to 0
+            {"spacing": 1e200},  # d^2 overflows
+            {"wavelength": 1e-10, "separation": 1e-10, "spacing": 1e154},  # the quotient overflows
+        ],
+        ids=["underflow", "square_overflow", "quotient_overflow"],
+    )
+    def test_out_of_float_range_names_x(self, lengths):
+        # these used to fail unnamed: float division by zero, (34, 'Numerical result out of
+        # range') and math domain error. The boundary adds the system's lengths, once
+        params = system(side=2, **lengths)
+        quantity = re.escape("x = d^2 / (lambda L) leaves the float range")
+        with pytest.raises(ArithmeticError, match=f"^{quantity}$"):
+            array_gain_closed_form(params)
+        with pytest.raises(NumericalError, match=f"^{quantity} at wavelength .*, side count 2$"):
+            with computing(params):
+                array_gain_closed_form(params)
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=3, max_size=3))
+    def test_a_finite_x_keeps_its_bits(self, lengths):
+        wavelength, separation, spacing = lengths
+        params = system(side=7, spacing=spacing, wavelength=wavelength, separation=separation)
+        try:
+            x = spacing**2 / (wavelength * separation)
+        except ArithmeticError:
+            x = math.inf
+        if math.isfinite(x):  # the range check leaves a finite x and its gain as they are
+            r = math.remainder(x, 1.0)
+            if abs(r) < np.finfo(float).tiny:
+                expected = 49.0
+            else:
+                expected = (math.sin(7 * math.pi * r) / math.sin(math.pi * r)) ** 2
+            assert array_gain_closed_form(params) == expected
+        else:
+            with pytest.raises(ArithmeticError, match="x = d"):
+                array_gain_closed_form(params)
+
 
 class TestSpacingThreshold:
     def test_reference_value(self):

@@ -99,6 +99,18 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"unknown spec fields: \['preset'\]"):
             SweepSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "notes", [{"when": {1, 2}}, {1: "a", "b": 2}, {"x": object()}], ids=["set", "mixed_keys", "object"]
+    )
+    def test_rejects_notes_the_sidecar_cannot_write(self, notes):
+        # a set used to pass, run the sweep and leave a truncated sidecar behind a TypeError
+        with pytest.raises(ValueError, match="^notes must be JSON"):
+            small_spec(notes=notes)
+
+    @given(notes=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3))
+    def test_accepts_notes_a_spec_file_can_hold(self, notes):
+        assert small_spec(notes=notes).notes is notes
+
     @settings(max_examples=200, deadline=None)
     @given(overrides=st.dictionaries(SPEC_KEYS, JSON_VALUES, max_size=4), dropped=st.sets(SPEC_KEYS, max_size=2))
     def test_from_dict_builds_or_raises_value_error(self, overrides, dropped):

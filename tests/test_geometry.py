@@ -120,8 +120,7 @@ class TestBuildUpa:
 
     def test_area_convention(self):
         arr = build_upa(5, 0.2, 0.0)
-        assert arr.side_length == pytest.approx(1.0)
-        assert arr.area == pytest.approx(1.0)
+        assert arr.area == (5 * 0.2) ** 2  # bit for bit: the fringe estimate's input
 
 
 def with_positions(array, positions):
