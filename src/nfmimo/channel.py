@@ -11,7 +11,11 @@ dz^2), so all of them give bit-identical entries:
 
 - Grid arrays, as `PlanarArray.grid` finds them. `build_channel` broadcasts
   the two arrays' small squared-offset tables into one N_R x N_S distance
-  array and evaluates the kernel in place on one complex array.
+  array and evaluates the kernel in place on one complex array. That complex
+  output is allocated before the float distance table, so the table, freed when
+  `build_channel` returns, is the topmost heap block and a later allocation of
+  its size (the SVD's copy of the entries) reuses its space instead of growing
+  the heap.
 - Coaxial twins. When both grids have x == y == c, centred bit for bit
   (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
   `build_channel` then evaluates the kernel once per distinct pair of them,
@@ -142,12 +146,15 @@ def _distance(dx2: np.ndarray, dy2: np.ndarray, dz: float) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
-def _kernel(r: np.ndarray, wavenumber: float) -> np.ndarray:
-    """-exp(i k r) / (4 pi r) in one new complex array, rounded as that expression
-    rounds it; overwrites r."""
+def _kernel(r: np.ndarray, wavenumber: float, out: np.ndarray | None = None) -> np.ndarray:
+    """-exp(i k r) / (4 pi r), rounded as that expression rounds it; overwrites r.
+
+    The result goes in `out`, a complex array of r's shape, or in one new complex array
+    when `out` is None. Both take the same ufunc calls in the same order, so the bits match.
+    """
     if not (r > 0).all():
         raise ValueError("coincident transmit/receive antennas")
-    g = np.multiply(1j * wavenumber, r)
+    g = np.multiply(1j * wavenumber, r, out=out)
     np.exp(g, out=g)
     np.negative(g, out=g)
     r *= 4 * np.pi
@@ -239,6 +246,7 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
         r = np.linalg.norm(diff, axis=2)
         del diff
+        entries = _kernel(r, k)
     else:
         # dx2[a, n] and dy2[b, m] for rx antenna (a, b) and tx antenna (n, m)
         offsets = rx[0][:, :, None] - tx[0][:, None, :]
@@ -252,7 +260,8 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
                 return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
 
             return ChannelMatrix(shape=shape, gather=gather, blocks=_parity_blocks(table, index))
+        entries = np.empty(shape, complex)  # before the table: see the module docstring
         r = _distance(dx2[:, None, :, None], dy2[None, :, None, :], dz)
-    entries = _kernel(r, k).reshape(shape)
+        _kernel(r, k, out=entries.reshape(r.shape))
     entries.setflags(write=False)
     return ChannelMatrix(entries=entries)

@@ -204,8 +204,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_gainmap(args) -> int:
     params, output = load_config(args)
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= experiments.MAX_GRID_POINTS:
+        raise ValueError(
+            f"--points must be from 1 to {experiments.MAX_GRID_POINTS}, got {args.points}"
+        )
     if args.extent is not None:
         extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:

@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import nfmimo
 from nfmimo import channel, experiments
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel, greens
 from nfmimo.experiments import SystemParams, coaxial_system, point_metrics
@@ -299,6 +305,46 @@ class TestGridAssembly:
             tracemalloc.stop()
         assert ch.entries.shape == (256, 400)
         assert peak <= 2.5 * ch.entries.nbytes
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the heap reuse checked here is glibc malloc's"
+    )
+    def test_repeated_dense_builds_keep_the_peak(self):
+        # the complex output is allocated before the float distance table, so the freed
+        # table is the heap's top block and the SVD's copy of the entries reuses its space;
+        # the other order left a hole below the entries, and the peak grew by 7.2-7.3 MiB
+        # over these builds
+        child = """
+import resource
+from nfmimo.channel import SystemGeometry, build_channel
+from nfmimo.geometry import PlanarArray, build_upa
+from nfmimo.spectrum import eigen_spectrum
+
+def peak_kib_after(tx_side, rx_side):
+    tx = build_upa(tx_side, 0.01, 0.0)
+    grid = build_upa(rx_side, 0.012, 30.0)
+    rx = PlanarArray(
+        side_count=rx_side, spacing=0.012, plane_offset=30.0,
+        positions=grid.positions + (0.05, -0.03, 0.0),
+    )
+    eigen_spectrum(build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01)))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+first = peak_kib_after(25, 40)
+for sides in ((23, 38), (21, 36), (19, 34), (16, 31)):
+    peak_kib_after(*sides)
+print(peak_kib_after(25, 40) - first)
+"""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(pathlib.Path(nfmimo.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) <= 2048  # KiB, as Linux reports ru_maxrss
 
 
 class TestLazyEntries:

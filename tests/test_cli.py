@@ -689,9 +689,10 @@ class TestInputChecks:
         assert exc.value.code == EXIT_OK
         assert "--separation" in capsys.readouterr().out
 
-    def test_gainmap_zero_points(self, tmp_path, capsys):
+    @pytest.mark.parametrize("points", ["0", "201"])  # 201 is one past the sweep grid's cap
+    def test_gainmap_zero_points(self, tmp_path, capsys, points):
         out = tmp_path / "map.csv"
-        code = main(["gainmap", "--side-count", "2", "--points", "0", "--output", str(out)])
+        code = main(["gainmap", "--side-count", "2", "--points", points, "--output", str(out)])
         assert code == EXIT_VALIDATION
         assert_one_line_error(capsys)
         assert not out.exists()
