@@ -15,7 +15,7 @@ dz^2), so all of them give bit-identical entries:
   output is allocated before the float distance table, so the table, freed when
   `build_channel` returns, is the topmost heap block and a later allocation of
   its size (the SVD's copy of the entries) reuses its space instead of growing
-  the heap.
+  the heap. The matrix is the channel's one block, what the spectrum decomposes.
 - Coaxial twins. When both grids have x == y == c, centred bit for bit
   (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
   `build_channel` then evaluates the kernel once per distinct pair of them,
@@ -30,7 +30,7 @@ dz^2), so all of them give bit-identical entries:
   rows. The even-odd block is the two-dimensional irrep and splits no further.
 - Any other positions, such as a tilted or jittered array, take the per-pair
   assembly: one np.linalg.norm over every antenna pair, the reference in the
-  tests, with no blocks.
+  tests. The matrix is the channel's one block.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class SystemGeometry:
 
 class ChannelMatrix:
     """Complex (N_R, N_S) matrix of Green's-function coefficients, plus (block,
-    multiplicity) pairs whose singular values, each repeated `multiplicity`
-    times, are those of `entries`; empty when none are known.
+    multiplicity) pairs whose singular values, each repeated `multiplicity` times, are
+    those of `entries` and whose span is `shape`: a coaxial twin's D4 blocks, else `entries`.
 
-    Built from `entries`, or from its `shape` and a `gather` that returns it; the
-    matrix is then gathered on the first read of `entries` and kept, read-only.
+    Built from `entries`, or from `blocks` and a `gather` that returns the matrix; that
+    is then gathered on the first read of `entries` and kept, read-only.
     """
 
     def __init__(
@@ -87,18 +87,17 @@ class ChannelMatrix:
         entries: np.ndarray | None = None,
         blocks: tuple[tuple[np.ndarray, int], ...] = (),
         *,
-        shape: tuple[int, int] | None = None,
         gather: Callable[[], np.ndarray] | None = None,
     ):
         if entries is not None:
             self.__dict__["entries"] = entries  # fills the cached property below
-            shape = entries.shape
-        self.shape = tuple(shape)
-        self.blocks = tuple(blocks)
+        elif not blocks:
+            raise ValueError("a channel needs its entries or its blocks")
+        self.blocks = tuple(blocks) or ((entries, 1),)
         self._gather = gather
-        spans = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
-        if self.blocks and spans != self.shape:
-            raise ValueError(f"blocks span {spans}, but the entries are {self.shape}")
+        self.shape = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
+        if entries is not None and entries.shape != self.shape:
+            raise ValueError(f"blocks span {self.shape}, but the entries are {entries.shape}")
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -259,7 +258,7 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
             def gather():
                 return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
 
-            return ChannelMatrix(shape=shape, gather=gather, blocks=_parity_blocks(table, index))
+            return ChannelMatrix(blocks=_parity_blocks(table, index), gather=gather)
         entries = np.empty(shape, complex)  # before the table: see the module docstring
         r = _distance(dx2[:, None, :, None], dy2[None, :, None, :], dz)
         _kernel(r, k, out=entries.reshape(r.shape))

@@ -83,12 +83,14 @@ def _number(name, value, kind):
 
 
 def _read_json(path):
-    """Decode a JSON file; nesting too deep for the decoder is malformed input too."""
-    with open(path) as fh:
+    """Decode a UTF-8 JSON file; malformed input, nesting too deep included, names the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_config(args) -> tuple[SystemParams, str | None]:
@@ -159,8 +161,9 @@ def cmd_report(args) -> int:
         record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
+    encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(encoded, end="")
     else:
         print(f"n_dof           = {record.n_dof}")
         print(f"n_edof_exact    = {record.n_edof_exact}")
@@ -171,8 +174,7 @@ def cmd_report(args) -> int:
         print(f"capacity_edof_exact = {record.capacity_edof_exact:.4g} bits/s/Hz")
     if output:
         with open(output, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(encoded)
     return EXIT_OK
 
 

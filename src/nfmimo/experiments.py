@@ -320,8 +320,7 @@ def write_sweep_csv(records, path, spec: SweepSpec) -> None:
         for rec in records:
             fh.write(",".join(fmt(v) for v in astuple(rec)) + "\n")
     with open(str(path) + ".spec.json", "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def write_profile_csv(profile, path) -> None:

@@ -57,8 +57,8 @@ class EdofReport:
 def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     """Spectrum of G G^H, computed as squared singular values of G.
 
-    One SVD per block of `channel.blocks`, whose singular values repeat by the
-    block's multiplicity; a channel without blocks takes one dense SVD.
+    One SVD per block of `channel.blocks` (a coaxial twin's five D4 blocks, else
+    `entries`), whose singular values repeat by the block's multiplicity.
 
     Each matrix reaches the SVD with at least as many rows as columns: a wide
     one (more transmit than receive antennas, say) goes in as its transpose
@@ -69,7 +69,7 @@ def eigen_spectrum(channel: ChannelMatrix) -> EigenSpectrum:
     """
     # numerical non-convergence raises np.linalg.LinAlgError; never truncated
     singular = []
-    for block, multiplicity in channel.blocks or ((channel.entries, 1),):
+    for block, multiplicity in channel.blocks:
         tall = block.T if block.shape[0] < block.shape[1] else block
         singular += [np.linalg.svd(tall, compute_uv=False)] * multiplicity
     return EigenSpectrum(np.concatenate(singular) ** 2, channel.shape)

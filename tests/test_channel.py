@@ -197,7 +197,8 @@ class TestGatheredAssembly:
         ch = build_channel(geo)
         entries = ch.entries
         assert norm_shapes == [(rx.size, tx.size, 3)]
-        assert ch.blocks == ()
+        [(block, multiplicity)] = ch.blocks
+        assert block is entries and multiplicity == 1
         assert np.array_equal(entries, dense_entries(geo))
         for i, rp in enumerate(rx.positions):
             for j, sp_ in enumerate(tx.positions):
@@ -256,7 +257,8 @@ class TestGridAssembly:
         ch = build_channel(geo)
         entries = ch.entries
         assert norm_shapes == []
-        assert ch.blocks == ()
+        [(block, multiplicity)] = ch.blocks
+        assert block is entries and multiplicity == 1
         assert entries.shape == (rx.size, tx.size)
         assert not entries.flags.writeable
         assert np.array_equal(entries, dense_entries(geo))
@@ -490,3 +492,14 @@ class TestBlocks:
     def test_blocks_that_do_not_span_the_entries_are_rejected(self, blocks):
         with pytest.raises(ValueError, match="blocks span"):
             ChannelMatrix(entries=np.zeros((4, 4), dtype=complex), blocks=blocks)
+
+    @pytest.mark.parametrize("case", ["twin", "shifted_rx", "unequal_sides", "jittered_tx"])
+    def test_every_channel_lists_blocks_that_span_it(self, case):
+        geo = make_system() if case == "twin" else moved_system(case)
+        ch = build_channel(geo)
+        spans = tuple(sum(m * block.shape[axis] for block, m in ch.blocks) for axis in (0, 1))
+        assert ch.blocks and spans == ch.shape == ch.entries.shape == (geo.rx.size, geo.tx.size)
+
+    def test_a_channel_needs_its_entries_or_its_blocks(self):
+        with pytest.raises(ValueError, match="entries or its blocks"):
+            ChannelMatrix()

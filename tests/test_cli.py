@@ -531,6 +531,18 @@ class TestInputChecks:
         assert_one_line_error(capsys)
         assert list(tmp_path.iterdir()) == [deep]
 
+    @pytest.mark.parametrize("command", ["report --config", "sweep"])
+    @pytest.mark.parametrize(
+        "content", [b'{"side_count": 5,', b"\xff\xfe"], ids=["truncated", "not_utf8"]
+    )
+    def test_malformed_json_names_its_file(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([*command.split(), str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize(
         "overrides",
         [
