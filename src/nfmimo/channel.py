@@ -14,8 +14,7 @@ dz^2), so all of them give bit-identical entries:
   array and evaluates the kernel in place on one complex array. That complex
   output is allocated before the float distance table, so the table, freed when
   `build_channel` returns, is the topmost heap block and a later allocation of
-  its size (the SVD's copy of the entries) reuses its space instead of growing
-  the heap. The matrix is the channel's one block, what the spectrum decomposes.
+  its size (the SVD's copy of the entries) reuses its space instead of growing the heap.
 - Coaxial twins. When both grids have x == y == c, centred bit for bit
   (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
   `build_channel` then evaluates the kernel once per distinct pair of them,
@@ -29,8 +28,10 @@ dz^2), so all of them give bit-identical entries:
   parts: five distinct blocks, at 25 x 25 of 91, 78, 156 (twice), 78 and 66
   rows. The even-odd block is the two-dimensional irrep and splits no further.
 - Any other positions, such as a tilted or jittered array, take the per-pair
-  assembly: one np.linalg.norm over every antenna pair, the reference in the
-  tests. The matrix is the channel's one block.
+  assembly: one np.linalg.norm over every antenna pair, the tests' reference.
+
+Every route returns a `ChannelMatrix`, built from the matrix, its one block, or
+from a twin's blocks and its gather; the channel flags what it holds read-only.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ class ChannelMatrix:
     multiplicity) pairs whose singular values, each repeated `multiplicity` times, are
     those of `entries` and whose span is `shape`: a coaxial twin's D4 blocks, else `entries`.
 
-    Built from `entries`, or from `blocks` and a `gather` that returns the matrix; that
-    is then gathered on the first read of `entries` and kept, read-only.
+    Built from `entries`, its one block, or from `blocks` and a `gather` that returns the
+    matrix on the first read of `entries`; any other combination raises ValueError. It flags
+    its blocks and gathered matrix read-only and keeps a read-only view of given entries.
     """
 
     def __init__(
@@ -89,15 +91,15 @@ class ChannelMatrix:
         *,
         gather: Callable[[], np.ndarray] | None = None,
     ):
+        if (entries is None) == (gather is None) or bool(blocks) != (gather is not None):
+            raise ValueError("a channel is built from its entries, or from its blocks and a gather")
         if entries is not None:
-            self.__dict__["entries"] = entries  # fills the cached property below
-        elif not blocks:
-            raise ValueError("a channel needs its entries or its blocks")
-        self.blocks = tuple(blocks) or ((entries, 1),)
-        self._gather = gather
+            entries = self.__dict__["entries"] = entries.view()  # fills the cached property below
+            blocks = ((entries, 1),)
+        self.blocks, self._gather = tuple(blocks), gather
+        for block, _ in self.blocks:
+            block.setflags(write=False)
         self.shape = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
-        if entries is not None and entries.shape != self.shape:
-            raise ValueError(f"blocks span {self.shape}, but the entries are {entries.shape}")
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -226,8 +228,6 @@ def _parity_blocks(table: np.ndarray, index: np.ndarray) -> tuple[tuple[np.ndarr
             # rows (k, i), columns (l, j)
             blocks.append((folded.transpose(2, 0, 3, 1).reshape(rows, rows), 2))
         del folded  # free this fold before the next one is gathered
-    for block, _ in blocks:
-        block.setflags(write=False)
     return tuple(blocks)
 
 
@@ -262,5 +262,4 @@ def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
         entries = np.empty(shape, complex)  # before the table: see the module docstring
         r = _distance(dx2[:, None, :, None], dy2[None, :, None, :], dz)
         _kernel(r, k, out=entries.reshape(r.shape))
-    entries.setflags(write=False)
     return ChannelMatrix(entries=entries)

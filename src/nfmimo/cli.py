@@ -220,7 +220,7 @@ def cmd_gainmap(args) -> int:
     with computing(params):
         if args.extent is None:
             extent = 2 * beamfocus.spacing_threshold(params)
-        coords = np.linspace(-extent, extent, args.points).tolist()
+        coords = np.linspace(-extent, extent, args.points).tolist() if args.points > 1 else [0.0]
         setup = beamfocus.make_focus_setup(coaxial_system(params))
         gains = beamfocus.gain_map(setup, coords, mode)
     beamfocus.write_gain_map_csv(coords, mode, gains, output)

@@ -479,20 +479,6 @@ class TestBlocks:
         for (a, m), (b, n) in zip(whole, build_channel(geo).blocks, strict=True):
             assert m == n and a.shape == b.shape and np.array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [
-            ((np.zeros((3, 3)), 1),),
-            ((np.zeros((2, 2)), 1), (np.zeros((1, 1)), 1)),
-            ((np.zeros((1, 1)), 1), (np.zeros((1, 1)), 2)),
-            ((np.zeros((4, 2)), 1),),
-        ],
-        ids=["too_small", "rows_missing", "multiplicity_short", "columns_missing"],
-    )
-    def test_blocks_that_do_not_span_the_entries_are_rejected(self, blocks):
-        with pytest.raises(ValueError, match="blocks span"):
-            ChannelMatrix(entries=np.zeros((4, 4), dtype=complex), blocks=blocks)
-
     @pytest.mark.parametrize("case", ["twin", "shifted_rx", "unequal_sides", "jittered_tx"])
     def test_every_channel_lists_blocks_that_span_it(self, case):
         geo = make_system() if case == "twin" else moved_system(case)
@@ -500,6 +486,26 @@ class TestBlocks:
         spans = tuple(sum(m * block.shape[axis] for block, m in ch.blocks) for axis in (0, 1))
         assert ch.blocks and spans == ch.shape == ch.entries.shape == (geo.rx.size, geo.tx.size)
 
-    def test_a_channel_needs_its_entries_or_its_blocks(self):
-        with pytest.raises(ValueError, match="entries or its blocks"):
-            ChannelMatrix()
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"entries": np.eye(2, dtype=complex), "blocks": ((np.eye(2, dtype=complex), 1),)},
+            {"blocks": ((np.eye(2, dtype=complex), 1),)},
+            {"gather": lambda: np.eye(2, dtype=complex)},
+            {"entries": np.eye(2, dtype=complex), "gather": lambda: np.eye(2, dtype=complex)},
+        ],
+        ids=["nothing", "entries_and_blocks", "blocks_without_gather", "gather_without_blocks",
+             "entries_and_gather"],
+    )
+    def test_a_channel_is_built_from_entries_or_from_blocks_and_a_gather(self, kwargs):
+        with pytest.raises(ValueError, match="from its entries, or from its blocks and a gather"):
+            ChannelMatrix(**kwargs)
+
+    def test_hand_given_entries_stay_writable_behind_a_read_only_view(self):
+        entries = np.eye(3, dtype=complex)
+        ch = ChannelMatrix(entries=entries)
+        assert entries.flags.writeable and not ch.entries.flags.writeable
+        [(block, multiplicity)] = ch.blocks
+        assert block is ch.entries and multiplicity == 1 and ch.shape == (3, 3)
+        assert np.shares_memory(ch.entries, entries)  # a view: the channel copies nothing

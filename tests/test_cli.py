@@ -489,6 +489,13 @@ class TestGainmap:
         assert len(lines) == 26
         assert lines[0] == "probe_x,probe_y,mode,gain"
 
+    def test_one_point_probes_the_focus(self, tmp_path, capsys):
+        # np.linspace(-e, e, 1) is [-e], the corner; one probe belongs at the focus (0, 0, L)
+        out = tmp_path / "map.csv"
+        assert main(["gainmap", "--points", "1", "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote 1 probes to {out}\n"
+        assert out.read_text() == "probe_x,probe_y,mode,gain\n0,0,phase_only,625\n"
+
 
 class TestValidate:
     def test_default_configuration_passes(self, capsys):

@@ -268,7 +268,7 @@ def wide_block_channel():
     entries = np.zeros((8, 12), dtype=complex)
     entries[0:3, 0:5] = entries[3:6, 5:10] = wide
     entries[6:8, 10:12] = square
-    return ChannelMatrix(entries=entries, blocks=((wide, 2), (square, 1)))
+    return ChannelMatrix(blocks=((wide, 2), (square, 1)), gather=lambda: entries)
 
 
 TALL_CASES = {
