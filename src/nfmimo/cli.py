@@ -197,10 +197,11 @@ def cmd_sweep(args) -> int:
         print(f"wrote {len(profile)} eigenvalues to {output}")
         return EXIT_OK
 
-    _check_outputs(output, f"{output}.spec.json")
+    sidecar = experiments.sidecar_path(output)
+    _check_outputs(output, sidecar)
     records = experiments.run_sweep(payload)
     experiments.write_sweep_csv(records, output, spec=payload)
-    print(f"wrote {len(records)} records to {output} (+ sidecar {output}.spec.json)")
+    print(f"wrote {len(records)} records to {output} (+ sidecar {sidecar})")
     return EXIT_OK
 
 
@@ -249,7 +250,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser per process, built on the first call: parse_args leaves it as it was."""
     parser = _Parser(
         prog="nfmimo",
         description="Near-field XL-MIMO channel metrics: EDoF, capacity, "
@@ -286,15 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process: parse_args leaves it as it was."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         # looked up at call time, so a replaced module attribute (a tracer's) runs
         return globals()[f"cmd_{args.command}"](args)
     except ArithmeticError as exc:

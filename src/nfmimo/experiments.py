@@ -303,31 +303,29 @@ def validate_closed_form(spec: SweepSpec) -> float:
     return max(errors)
 
 
-def write_sweep_csv(records, path, spec: SweepSpec) -> None:
-    """Write records as CSV (17 significant digits) plus a JSON sidecar.
+def sidecar_path(csv_path) -> str:
+    """The path of a sweep CSV's JSON sidecar, which holds the resolved spec."""
+    return f"{csv_path}.spec.json"
 
-    The sidecar at <path>.spec.json holds the resolved spec, notes included; feeding it
-    back through run_sweep reproduces the identical CSV.
-    """
 
-    def fmt(v):
-        if isinstance(v, int):
-            return str(v)
-        return f"{v:.17g}"
-
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV: ints as written, floats with 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        for rec in records:
-            fh.write(",".join(fmt(v) for v in astuple(rec)) + "\n")
-    with open(str(path) + ".spec.json", "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in row) + "\n")
+
+
+def write_sweep_csv(records, path, spec: SweepSpec) -> None:
+    """Write records as CSV plus the spec, notes included, to the sidecar at sidecar_path(path);
+    feeding the sidecar back through run_sweep reproduces the identical CSV."""
+    _write_csv(path, RECORD_FIELDS, map(astuple, records))
+    with open(sidecar_path(path), "w") as fh:
         fh.write(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def write_profile_csv(profile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("index,eigenvalue\n")
-        for idx, val in profile:
-            fh.write(f"{idx},{val:.17g}\n")
+    _write_csv(path, ("index", "eigenvalue"), profile)
 
 
 # The fig5 system, which fig5 to fig9 use: 25 x 25 UPAs at wavelength 0.01 m and separation 40 m

@@ -107,6 +107,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="^notes must be JSON"):
             small_spec(notes=notes)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"wavelength": 10**400}, "^wavelength must be a positive finite number, got 1000"),
+            ({"grid": (0.5 * LAM, 10**400)}, "^sweep grid entries must be finite numbers, got 1000"),
+        ],
+        ids=["wavelength", "grid"],
+    )
+    def test_int_beyond_the_float_range_names_its_field(self, overrides, message):
+        # math.isfinite raises OverflowError on such an int; the spec reports it as a ValueError
+        with pytest.raises(ValueError, match=message):
+            small_spec(**overrides)
+
     @given(notes=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3))
     def test_accepts_notes_a_spec_file_can_hold(self, notes):
         assert small_spec(notes=notes).notes is notes
