@@ -19,7 +19,6 @@ from .experiments import (
     eigen_profile,
     point_metrics,
     run_sweep,
-    validate_closed_form,
 )
 from .geometry import PlanarArray, build_upa
 from .spectrum import (
@@ -67,7 +66,6 @@ __all__ = [
     "point_metrics",
     "run_sweep",
     "spacing_threshold",
-    "validate_closed_form",
 ]
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: threshold, report, sweep, gainmap, validate. Parameters come
+Subcommands: threshold, report, sweep, gainmap. Parameters come
 from an optional JSON config file plus flag overrides (flags win). Lengths
 may be given in meters or in wavelength multiples with a `lambda` suffix
 (e.g. `12.65lambda`); they are resolved to meters exactly once, at config
-load. Nothing in the pipeline is random.
+load. Nothing in the pipeline is random. The closed-form gain check is
+the `rho1_closed` and `rho1_phase_only` columns of any spacing sweep.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 malformed input, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ FLAGS = {
     "output": "output file path",
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
-VALIDATE_FLAGS = ("wavelength", "side_count", "separation")  # validate sweeps the spacing
 
 DEFAULTS = {
     "wavelength": 0.01,
@@ -229,20 +229,6 @@ def cmd_gainmap(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    params, _ = load_config(args)
-    with computing(params):
-        d_th = beamfocus.spacing_threshold(params)
-        grid = [f * d_th for f in np.linspace(0.2, 1.0, 17)]
-        fixed = {name: getattr(params, name) for name in VALIDATE_FLAGS}
-        spec = experiments.SweepSpec(swept_variable="spacing", grid=grid, **fixed)
-    error = experiments.validate_closed_form(spec)
-    passes = error <= experiments.CLOSED_FORM_TOLERANCE
-    print(f"max normalized closed-form error: {error:.4g}")
-    print("PASS" if passes else "FAIL")
-    return EXIT_OK if passes else EXIT_VALIDATION
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError on a bad argument, so main reports it as one line with exit 1."""
 
@@ -284,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--mode", choices=modes, default="phase_only", help="gain model")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
     p_map.add_argument("--points", type=int, default=41, help="probes per axis")
-
-    add_parser("validate", "check the closed-form gain against the phasor sum", VALIDATE_FLAGS)
     return parser
 
 

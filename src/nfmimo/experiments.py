@@ -13,8 +13,9 @@ reproductions only). The fringe EDoF estimate uses each array's cell area
 N d^2, with which it equals N at the spacing threshold.
 
 Every metric of one system comes from `point_metrics` on a validated
-`SystemParams`; a sweep point, the CLI's `report` and (its gain step only)
-`validate_closed_form` share that path.
+`SystemParams`; a sweep point and the CLI's `report` share that path. Each
+record holds the closed-form check: `rho1_closed` and the phasor-sum
+`rho1_phase_only` of the same neighbour.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ SWEPT_FIELD = {"spacing": "spacing", "antennas_per_side": "side_count", "separat
 SWEPT_VARIABLES = tuple(SWEPT_FIELD)
 MAX_GRID_POINTS = 200
 DEFAULT_FOCUSED_SNR_DB = 10.0
-CLOSED_FORM_TOLERANCE = 0.05  # of validate_closed_form's normalized error
 
 
 def _is_number(value) -> bool:
@@ -108,6 +108,9 @@ class NumericalError(ArithmeticError):
     def __init__(self, message, params: SystemParams):
         super().__init__(message)
         self.params = params
+
+    def __reduce__(self):  # the inherited one rebuilds from self.args alone, without params
+        return type(self), (*self.args, self.params)
 
 
 @contextlib.contextmanager
@@ -236,17 +239,6 @@ def coaxial_system(params: SystemParams) -> SystemGeometry:
     return SystemGeometry(tx=tx, rx=rx, wavelength=params.wavelength)
 
 
-def _gains(p: SystemParams, geometry: SystemGeometry) -> dict:
-    """The gain step: rho1_closed, rho1_phase_only at the focus' neighbour (d, 0, L), epsilon."""
-    setup = beamfocus.make_focus_setup(geometry)
-    r1 = (p.spacing, 0.0, geometry.rx.plane_offset)
-    return {
-        "rho1_closed": beamfocus.array_gain_closed_form(p),
-        "rho1_phase_only": beamfocus.array_gain(setup, r1, GainMode.PHASE_ONLY),
-        "epsilon": beamfocus.paraxial_parameter(p),
-    }
-
-
 def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
     """Every DoF / EDoF / gain / capacity metric of one system."""
     p = params
@@ -272,7 +264,13 @@ def point_metrics(params: SystemParams, swept_value) -> SweepRecord:
         capacity_edof_exact=cap(edof.n_edof_exact),
         capacity_edof_fringes=cap(_estimator_truncation(edof.n_edof_fringes, n_values)),
         capacity_edof_trace=cap(_estimator_truncation(edof.n_edof_trace, n_values)),
-        **_gains(p, geometry),
+        # the gain step, after the capacity reducers: rho1 at the focus' neighbour (d, 0, L)
+        rho1_closed=beamfocus.array_gain_closed_form(p),
+        rho1_phase_only=beamfocus.array_gain(
+            beamfocus.make_focus_setup(geometry), (p.spacing, 0.0, geometry.rx.plane_offset),
+            GainMode.PHASE_ONLY,
+        ),
+        epsilon=beamfocus.paraxial_parameter(p),
     )
 
 
@@ -290,17 +288,6 @@ def eigen_profile(params: SystemParams) -> list[tuple[int, float]]:
     """Full descending Gram spectrum with 1-based indices."""
     spec_vals = sp.eigen_spectrum(build_channel(coaxial_system(params)))
     return [(i + 1, float(v)) for i, v in enumerate(spec_vals.values)]
-
-
-def validate_closed_form(spec: SweepSpec) -> float:
-    """Worst |rho1_closed - rho1_phase_only| / N over the grid points."""
-    errors = []
-    for value in spec.grid:
-        p = spec.at(value)
-        with computing(p):
-            gains = _gains(p, coaxial_system(p))
-        errors.append(abs(gains["rho1_closed"] - gains["rho1_phase_only"]) / p.n_antennas)
-    return max(errors)
 
 
 def sidecar_path(csv_path) -> str:

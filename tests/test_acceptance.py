@@ -4,20 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s`. The Fig. 5 preset sweep
 (74 points of two coaxial 25x25 UPAs) is computed once and shared.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from nfmimo.beamfocus import GainMode, array_gain, make_focus_setup, spacing_threshold
 from nfmimo.channel import SystemGeometry, build_channel, greens
-from nfmimo.experiments import (
-    CLOSED_FORM_TOLERANCE,
-    SystemParams,
-    load_preset,
-    run_sweep,
-    validate_closed_form,
-)
+from nfmimo.experiments import SystemParams, load_preset, run_sweep
 from nfmimo.geometry import build_upa
 from nfmimo.spectrum import (
     EigenSpectrum,
@@ -82,20 +74,13 @@ def test_criterion_2_fig5_reproduction(fig5):
 
 
 def test_criterion_3_closed_form_vs_oracle(fig5):
-    spec, records = fig5
-    grid = [r.swept_value for r in records if r.epsilon <= 1.2]
-    result = validate_closed_form(replace(spec, grid=grid))
-    assert CLOSED_FORM_TOLERANCE == 0.05  # the criterion's bound, which `nfmimo validate` reads
-    ok = result <= CLOSED_FORM_TOLERANCE
-    report(3, "closed-form gain within 0.05 N of the phasor-sum oracle", ok)
-
-
-def test_validate_runs_the_sweep_gain_step(fig5):
-    """validate_closed_form and the sweep records share one gain step, bit for bit."""
-    spec, records = fig5
-    paraxial = [r for r in records if r.epsilon <= 1.0]
-    expected = max(abs(r.rho1_closed - r.rho1_phase_only) / N for r in paraxial)
-    assert validate_closed_form(replace(spec, grid=[r.swept_value for r in paraxial])) == expected
+    # every sweep record holds both gains of the focus' nearest neighbour
+    _, records = fig5
+    paraxial = [r for r in records if r.epsilon <= 1.2]
+    result = max(abs(r.rho1_closed - r.rho1_phase_only) / N for r in paraxial)
+    ok = result <= 0.05
+    report(3, "closed-form gain within 0.05 N of the phasor-sum oracle", ok,
+           f"max error {result:.3g} N over {len(paraxial)} records")
 
 
 def _points(eps, err, idx):

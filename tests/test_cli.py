@@ -346,34 +346,22 @@ class TestNumericalErrors:
                 ["gainmap", "--points", "2", "--extent", "1e-200"],
                 "focus point coincides with a transmit antenna",
             ),
-            (["validate"], "d_th = sqrt(lambda L / sqrt(N)) leaves the float range"),
         ],
-        ids=["report", "gainmap", "validate"],
+        ids=["report", "gainmap"],
     )
     def test_accepted_input_that_underflows(self, tmp_path, capsys, argv, message):
         # every distance underflows to 0; no numpy warning, unlike an overflowing separation
-        flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--side-count", "2"]
-        if argv != ["validate"]:  # validate sweeps the spacing up to the threshold
-            flags += ["--spacing", "1e-200", "--output", str(tmp_path / "out")]
+        flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--side-count", "2",
+                 "--spacing", "1e-200", "--output", str(tmp_path / "out")]
         self.assert_numerical(main([*argv, *flags]), capsys, message, " at wavelength 1e-300 m, ")
 
     @pytest.mark.parametrize(
         "argv, cause, lengths",
         [
             (
-                ["validate", "--separation", "1e-200"],
+                ["gainmap", "--separation", "1e-200", "--points", "2"],
                 "focus point coincides with a transmit antenna",
-                "wavelength 0.01 m, spacing 4e-103 m and separation 1e-200 m",
-            ),
-            (
-                ["validate", "--wavelength", "1e300", "--separation", "1e300"],
-                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
-                "wavelength 1e+300 m, spacing 5e+299 m and separation 1e+300 m",
-            ),
-            (
-                ["validate", "--wavelength", "1e-300", "--separation", "1e-300"],
-                "d_th = sqrt(lambda L / sqrt(N)) leaves the float range",
-                "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
+                "wavelength 0.01 m, spacing 0.005 m and separation 1e-200 m",
             ),
             (
                 ["gainmap", "--wavelength", "1e300", "--separation", "1e300", "--points", "2"],
@@ -407,9 +395,7 @@ class TestNumericalErrors:
             ),
         ],
         ids=[
-            "validate_coincident",
-            "validate_overflow",
-            "validate_underflow",
+            "gainmap_coincident",
             "gainmap_overflow",
             "gainmap_underflow",
             "threshold_epsilon",
@@ -497,14 +483,6 @@ class TestGainmap:
         assert out.read_text() == "probe_x,probe_y,mode,gain\n0,0,phase_only,625\n"
 
 
-class TestValidate:
-    def test_default_configuration_passes(self, capsys):
-        code = main(["validate", "--side-count", "25"])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "PASS" in out
-
-
 SPEC = {
     "swept_variable": "spacing",
     "grid": [0.005, 0.01],
@@ -589,13 +567,13 @@ class TestInputChecks:
             # each subcommand takes only the flags its handler reads
             ["threshold", "--power", "5"],
             ["threshold", "--output", "x"],
-            ["validate", "--spacing", "1lambda"],
+            ["validate"],  # an unknown subcommand exits 1 like an unknown flag
             ["gainmap", "--side-count", "2", "--points", "3", "--energy-fraction", "0.5"],
             ["gainmap", "--side-count", "2", "--points", "3", "--extent=-1lambda"],
             ["gainmap", "--side-count", "2", "--points", "3", "--extent", "0"],
         ],
         ids=[
-            "bad_int", "unknown_flag", "threshold_power", "threshold_output", "validate_spacing",
+            "bad_int", "unknown_flag", "threshold_power", "threshold_output", "validate_removed",
             "gainmap_energy_fraction", "gainmap_extent_negative", "gainmap_extent_zero",
         ],
     )
@@ -649,11 +627,10 @@ class TestInputChecks:
             ("report", 1.5),
             ("threshold", 2),
             ("gainmap", [1]),
-            ("validate", True),
         ],
         ids=[
             "report_int", "report_bool", "report_object", "report_list", "report_float",
-            "threshold_int", "gainmap_list", "validate_bool",
+            "threshold_int", "gainmap_list",
         ],
     )
     def test_config_output_must_be_a_path_string(self, tmp_path, subcommand, output):
@@ -750,7 +727,6 @@ def test_subcommand_flags():
         "report": system | {"energy_fraction", "power", "output", "json"},
         "sweep": {"preset", "output"},
         "gainmap": system | {"output", "mode", "extent", "points"},
-        "validate": system - {"spacing"},
     }
     (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {
@@ -758,7 +734,7 @@ def test_subcommand_flags():
         for name, parser in subparsers.choices.items()
     }
     assert dests == expected
-    assert sum(map(len, dests.values())) == 29
+    assert sum(map(len, dests.values())) == 25
 
 
 def test_every_flag_has_help():
