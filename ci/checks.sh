@@ -78,10 +78,10 @@ sidecar() {
     test $(wc -l < text_grid_$n.err) -eq 1
   done
   cmp text_grid_1.err text_grid_2.err
-  # a truncated spec and a config that is not UTF-8 each exit 1 with one line naming the file
+  # a truncated spec and a spec that is not UTF-8 each exit 1 with one line naming the file
   printf '{"swept_variable": "spacing", "grid": [0.05' > truncated.json
   printf '\377\376' > not_utf8.json
-  for c in "sweep truncated.json" "report --config not_utf8.json"; do
+  for c in "sweep truncated.json" "sweep not_utf8.json"; do
     f=$(echo $c | tr -d ' -.')
     for n in 1 2; do
       code=0
@@ -93,6 +93,7 @@ sidecar() {
     cmp ${f}_1.err ${f}_2.err
   done
   test ! -e truncated.out.csv
+  test ! -e not_utf8.out.csv
 }
 
 # Report and threshold output is identical across processes.

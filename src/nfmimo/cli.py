@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: threshold, report, sweep, gainmap. Parameters come
-from an optional JSON config file plus flag overrides (flags win). Lengths
-may be given in meters or in wavelength multiples with a `lambda` suffix
-(e.g. `12.65lambda`); they are resolved to meters exactly once, at config
-load. Nothing in the pipeline is random. The closed-form gain check is
+from flags over the defaults. Lengths may be given in meters or in
+wavelength multiples with a `lambda` suffix (e.g. `12.65lambda`); they are
+resolved to meters exactly once, in load_params. Nothing in the pipeline
+is random. The closed-form gain check is
 the `rho1_closed` and `rho1_phase_only` columns of any spacing sweep.
 
 Exit codes: 0 success, 1 malformed input, 2 numerical failure.
@@ -48,9 +48,8 @@ def parse_length(text, wavelength: float, name: str = "length") -> float:
         ) from None
 
 
-# Each config field as a flag (dest -> help text). A subcommand takes the
-# flags it reads; the JSON config file takes all, so one file serves all.
-# Flag values arrive as strings and convert in load_config, as config strings do.
+# Each parameter flag (dest -> help text); a subcommand takes the flags it reads.
+# Flag values arrive as strings and convert in load_params.
 FLAGS = {
     "wavelength": "carrier wavelength in meters",
     "side_count": "antennas per side",
@@ -71,15 +70,13 @@ DEFAULTS = {
 }
 
 
-def _number(name, value, kind):
-    """Quoted numbers, and ints for a float, convert to `kind`; SystemParams checks the rest."""
-    if isinstance(value, str) or (kind is float and type(value) is int):
-        try:
-            return kind(value)
-        except (ValueError, OverflowError):
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{name} must be {what}, got {value!r}") from None
-    return value
+def _number(name, text, kind):
+    """Convert a flag's text, or a default, to `kind`; SystemParams checks the rest."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
 
 
 def _read_json(path):
@@ -93,42 +90,23 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def load_config(args) -> tuple[SystemParams, str | None]:
-    """Merge defaults, an optional JSON config file and flag overrides.
-
-    Returns the validated parameters and the output path (None: the
-    command's default).
-    """
+def load_params(args) -> SystemParams:
+    """The validated parameters of the flags given, over DEFAULTS."""
     merged = dict(DEFAULTS)
-    if args.config:
-        data = _read_json(args.config)
-        if not isinstance(data, dict):
-            raise ValueError("a config file must hold a JSON object")
-        unknown = set(data) - set(FLAGS)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        merged.update(data)
     for name in FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    output = merged.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError(f"output must be a path string, got {output!r}")
-
     # lengths in lambda need the wavelength before SystemParams can check it
     wavelength = _number("wavelength", merged["wavelength"], float)
-    if not isinstance(wavelength, float):
-        raise ValueError(f"wavelength must be a number, got {wavelength!r}")
     settings = ("energy_fraction", "power")
-    params = SystemParams(
+    return SystemParams(
         wavelength=wavelength,
         side_count=_number("side_count", merged["side_count"], int),
         spacing=parse_length(merged["spacing"], wavelength, "spacing"),
         separation=parse_length(merged["separation"], wavelength, "separation"),
         **{name: _number(name, merged[name], float) for name in settings if name in merged},
     )
-    return params, output
 
 
 def _check_outputs(*paths) -> None:
@@ -139,7 +117,7 @@ def _check_outputs(*paths) -> None:
 
 
 def cmd_threshold(args) -> int:
-    params, _ = load_config(args)
+    params = load_params(args)
     with computing(params):
         eps = beamfocus.paraxial_parameter(params)
         d_th = beamfocus.spacing_threshold(params)
@@ -155,8 +133,8 @@ REPORT_FIELDS = (
 
 
 def cmd_report(args) -> int:
-    params, output = load_config(args)
-    _check_outputs(output)
+    params = load_params(args)
+    _check_outputs(args.output)
     with computing(params):
         record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
@@ -172,8 +150,8 @@ def cmd_report(args) -> int:
         print(f"energy_fraction = {params.energy_fraction:.4g}")
         print(f"capacity_full       = {record.capacity_full:.4g} bits/s/Hz")
         print(f"capacity_edof_exact = {record.capacity_edof_exact:.4g} bits/s/Hz")
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(encoded)
     return EXIT_OK
 
@@ -206,7 +184,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gainmap(args) -> int:
-    params, output = load_config(args)
+    params = load_params(args)
     if not 1 <= args.points <= experiments.MAX_GRID_POINTS:
         raise ValueError(
             f"--points must be from 1 to {experiments.MAX_GRID_POINTS}, got {args.points}"
@@ -215,7 +193,7 @@ def cmd_gainmap(args) -> int:
         extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
-    output = output or "gainmap.csv"
+    output = args.output or "gainmap.csv"
     _check_outputs(output)
     mode = GainMode(args.mode)
     with computing(params):
@@ -248,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, summary, flags):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON config file")
         for dest in flags:
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest])
         return p

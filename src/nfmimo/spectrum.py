@@ -90,13 +90,11 @@ def edof_exact(spectrum: EigenSpectrum, fraction: float = DEFAULT_ENERGY_FRACTIO
 
 
 def edof_fringes(area_tx: float, area_rx: float, wavelength: float, separation: float) -> float:
-    """Intensity-fringe EDoF estimate A_S A_R / (lambda L)^2."""
-    for name, v in (
-        ("area_tx", area_tx),
-        ("area_rx", area_rx),
-        ("wavelength", wavelength),
-        ("separation", separation),
-    ):
+    """Intensity-fringe EDoF estimate A_S A_R / (lambda L)^2; an area that underflows to 0 gives 0.0."""
+    for name, v in (("area_tx", area_tx), ("area_rx", area_rx)):
+        if not v >= 0:
+            raise ValueError(f"{name} must be non-negative, got {v}")
+    for name, v in (("wavelength", wavelength), ("separation", separation)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v}")
     try:

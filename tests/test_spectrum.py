@@ -384,8 +384,15 @@ class TestEdofFringes:
         assert edof_fringes(area, area, 0.01, 40.0) == pytest.approx(31.640625)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            edof_fringes(0.0, 1.0, 0.01, 40.0)
+        # a negative or NaN area, or a zero wavelength or separation
+        for args in [(-1.0, 1.0, 0.01, 40.0), (1.0, math.nan, 0.01, 40.0),
+                     (1.0, 1.0, 0.0, 40.0), (1.0, 1.0, 0.01, 0.0)]:
+            with pytest.raises(ValueError):
+                edof_fringes(*args)
+
+    def test_zero_area_gives_zero(self):
+        # an aperture whose (S d)^2 underflows to 0
+        assert edof_fringes(0.0, 1.0, 0.01, 40.0) == 0.0
 
     @pytest.mark.parametrize(
         "args", [(1.0, 1.0, 1e-160, 1e-160), (1e200, 1e200, 1.0, 1.0)], ids=["underflow", "overflow"]
