@@ -94,13 +94,23 @@ sidecar() {
   done
   test ! -e truncated.out.csv
   test ! -e not_utf8.out.csv
+  # a spec file that does not exist exits 1 with one line and creates no output
+  for n in 1 2; do
+    code=0
+    PYTHONPATH=src python -W error -m nfmimo.cli sweep missing.json 2> missing_$n.err || code=$?
+    test $code -eq 1
+    test $(wc -l < missing_$n.err) -eq 1
+  done
+  cmp missing_1.err missing_2.err
+  test ! -e missing.out.csv
 }
 
 # Report and threshold output is identical across processes.
 # a numerical failure exits 2 with one stderr line, the same in every process.
 # d_th overflows at the 1e300 pair with spacing 1; the two fringe-EDoF reports leave the
 # float range in plain Python floats; the 1e160 spacing and the 1e308 power overflow in
-# numpy, whose warning the numerical-failure boundary raises as that one line
+# numpy, whose warning the numerical-failure boundary raises as that one line; a gain map
+# whose focus distances underflow leaves no output file behind
 cli() {
   for c in report "report --json" threshold; do
     f=cli_$(echo $c | tr -d ' -')
@@ -123,6 +133,12 @@ cli() {
     done
     cmp ${f}_1.err ${f}_2.err
   done
+  code=0
+  PYTHONPATH=src python -W error -m nfmimo.cli gainmap --separation 1e-200 --points 2 \
+    --output err.csv 2> err_gainmap.err || code=$?
+  test $code -eq 2
+  test $(wc -l < err_gainmap.err) -eq 1
+  test ! -e err.csv
 }
 
 # Running out of memory exits 2 with one line.

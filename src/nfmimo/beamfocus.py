@@ -62,7 +62,10 @@ def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
         raise ValueError("focus_point must be a finite 3D point")
     dist = np.linalg.norm(fp - geometry.tx.positions, axis=1)
     if not (dist > 0).all():
-        raise ValueError("focus point coincides with a transmit antenna")
+        raise ValueError(
+            "focus point coincides with a transmit antenna, "
+            "or their squared distance underflows to 0"
+        )
     return wrap_phase(-geometry.wavenumber * dist)
 
 
@@ -105,7 +108,10 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
         else:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
             coincident = dz * dz == 0 and not offsets.min(axis=1).sum() > 0
         if coincident:
-            raise ValueError("probe point coincides with a transmit antenna")
+            raise ValueError(
+                "probe point coincides with a transmit antenna, "
+                "or their squared distance underflows to 0"
+            )
         if mode is not GainMode.FRESNEL:
             if tx.grid is not None:  # antenna (n, m) is row n * S + m, as in `positions`
                 dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()

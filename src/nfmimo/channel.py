@@ -154,7 +154,9 @@ def _kernel(r: np.ndarray, wavenumber: float, out: np.ndarray | None = None) -> 
     when `out` is None. Both take the same ufunc calls in the same order, so the bits match.
     """
     if not (r > 0).all():
-        raise ValueError("coincident transmit/receive antennas")
+        raise ValueError(
+            "coincident transmit/receive antennas, or their squared distance underflows to 0"
+        )
     g = np.multiply(1j * wavenumber, r, out=out)
     np.exp(g, out=g)
     np.negative(g, out=g)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -58,7 +59,6 @@ FLAGS = {
     "energy_fraction": "fraction of the Gram energy the exact EDoF captures "
     f"(default {spectrum.DEFAULT_ENERGY_FRACTION})",
     "power": "total transmit power at unit noise variance",
-    "output": "output file path",
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
 
@@ -109,11 +109,19 @@ def load_params(args) -> SystemParams:
     )
 
 
-def _check_outputs(*paths) -> None:
-    """Open each output path given for append, which creates a missing file and
-    truncates none, so an unwritable path fails before any work."""
-    for path in filter(None, paths):
-        open(path, "a").close()
+@contextlib.contextmanager
+def _check_outputs(*paths):
+    """Open each output path for append, creating a missing file and truncating none, so an
+    unwritable path fails before the work inside; if anything fails, remove the files created."""
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
 
 
 def cmd_threshold(args) -> int:
@@ -134,14 +142,12 @@ REPORT_FIELDS = (
 
 def cmd_report(args) -> int:
     params = load_params(args)
-    _check_outputs(args.output)
     with computing(params):
         record = experiments.point_metrics(params, params.spacing)
     payload = {name: getattr(record, name) for name in REPORT_FIELDS}
     payload["energy_fraction"] = params.energy_fraction
-    encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.json:
-        print(encoded, end="")
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"n_dof           = {record.n_dof}")
         print(f"n_edof_exact    = {record.n_edof_exact}")
@@ -150,35 +156,34 @@ def cmd_report(args) -> int:
         print(f"energy_fraction = {params.energy_fraction:.4g}")
         print(f"capacity_full       = {record.capacity_full:.4g} bits/s/Hz")
         print(f"capacity_edof_exact = {record.capacity_edof_exact:.4g} bits/s/Hz")
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(encoded)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     target = args.preset
-    if target in experiments.PRESETS or not os.path.exists(target):
-        payload = experiments.load_preset(target)
+    if target in experiments.PRESETS:
+        payload = experiments.PRESETS[target]
         default_output = f"{target}.csv"
-    else:
+    elif os.path.exists(target):
         payload = experiments.SweepSpec.from_dict(_read_json(target))
-        stem = os.path.splitext(target)[0]
-        default_output = f"{stem}.out.csv"
+        default_output = f"{os.path.splitext(target)[0]}.out.csv"
+    else:
+        presets = ", ".join(experiments.PRESETS)
+        raise ValueError(f"no preset or spec file {target!r}; presets: {presets}")
     output = args.output or default_output
 
     if not isinstance(payload, experiments.SweepSpec):
-        _check_outputs(output)
-        with computing(payload):
-            profile = experiments.eigen_profile(payload)
-        experiments.write_profile_csv(profile, output)
+        with _check_outputs(output):
+            with computing(payload):
+                profile = experiments.eigen_profile(payload)
+            experiments.write_profile_csv(profile, output)
         print(f"wrote {len(profile)} eigenvalues to {output}")
         return EXIT_OK
 
     sidecar = experiments.sidecar_path(output)
-    _check_outputs(output, sidecar)
-    records = experiments.run_sweep(payload)
-    experiments.write_sweep_csv(records, output, spec=payload)
+    with _check_outputs(output, sidecar):
+        records = experiments.run_sweep(payload)
+        experiments.write_sweep_csv(records, output, spec=payload)
     print(f"wrote {len(records)} records to {output} (+ sidecar {sidecar})")
     return EXIT_OK
 
@@ -194,15 +199,15 @@ def cmd_gainmap(args) -> int:
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
     output = args.output or "gainmap.csv"
-    _check_outputs(output)
     mode = GainMode(args.mode)
-    with computing(params):
-        if args.extent is None:
-            extent = 2 * beamfocus.spacing_threshold(params)
-        coords = np.linspace(-extent, extent, args.points).tolist() if args.points > 1 else [0.0]
-        setup = beamfocus.make_focus_setup(coaxial_system(params))
-        gains = beamfocus.gain_map(setup, coords, mode)
-    beamfocus.write_gain_map_csv(coords, mode, gains, output)
+    with _check_outputs(output):
+        with computing(params):
+            if args.extent is None:
+                extent = 2 * beamfocus.spacing_threshold(params)
+            coords = np.linspace(-extent, extent, args.points).tolist() if args.points > 1 else [0.0]
+            setup = beamfocus.make_focus_setup(coaxial_system(params))
+            gains = beamfocus.gain_map(setup, coords, mode)
+        beamfocus.write_gain_map_csv(coords, mode, gains, output)
     print(f"wrote {len(gains)} probes to {output}")
     return EXIT_OK
 
@@ -239,10 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("preset", help=f"preset name ({', '.join(experiments.PRESETS)}) or spec file")
     p_sweep.add_argument("--output", help="output CSV path")
 
-    p_map = add_parser(
-        "gainmap", "focal-spot gain map over the receive plane",
-        (*SYSTEM_FLAGS, "output"),
-    )
+    p_map = add_parser("gainmap", "focal-spot gain map over the receive plane", SYSTEM_FLAGS)
+    p_map.add_argument("--output", help="output CSV path")
     modes = [m.value for m in GainMode]
     p_map.add_argument("--mode", choices=modes, default="phase_only", help="gain model")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")

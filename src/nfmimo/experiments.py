@@ -103,14 +103,7 @@ class SystemParams:
 
 
 class NumericalError(ArithmeticError):
-    """Computing on accepted parameters failed; carries them."""
-
-    def __init__(self, message, params: SystemParams):
-        super().__init__(message)
-        self.params = params
-
-    def __reduce__(self):  # the inherited one rebuilds from self.args alone, without params
-        return type(self), (*self.args, self.params)
+    """Computing on accepted parameters failed; the message names them."""
 
 
 @contextlib.contextmanager
@@ -129,8 +122,7 @@ def computing(params: SystemParams):
         raise NumericalError(
             f"{str(exc) or type(exc).__name__} at wavelength {params.wavelength!r} m, spacing "
             f"{params.spacing!r} m and separation {params.separation!r} m, side count "
-            f"{params.side_count}",
-            params,
+            f"{params.side_count}"
         ) from exc
 
 
@@ -379,9 +371,3 @@ PRESETS = {
     ),
 }
 
-
-def load_preset(name: str) -> SystemParams:
-    """The preset's payload: a SweepSpec, or SystemParams for a profile."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-    return PRESETS[name]

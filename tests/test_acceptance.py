@@ -9,7 +9,7 @@ import pytest
 
 from nfmimo.beamfocus import GainMode, array_gain, make_focus_setup, spacing_threshold
 from nfmimo.channel import SystemGeometry, build_channel, greens
-from nfmimo.experiments import SystemParams, load_preset, run_sweep
+from nfmimo.experiments import PRESETS, SystemParams, run_sweep
 from nfmimo.geometry import build_upa
 from nfmimo.spectrum import (
     EigenSpectrum,
@@ -36,7 +36,7 @@ def report(number, label, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def fig5():
-    spec = load_preset("fig5")
+    spec = PRESETS["fig5"]
     return spec, run_sweep(spec)
 
 
@@ -211,7 +211,7 @@ def test_criterion_7_property_suite():
 
 
 def test_criterion_8_antenna_trend():
-    spec = load_preset("fig2")
+    spec = PRESETS["fig2"]
     records = run_sweep(spec)
     edofs = [r.n_edof_exact for r in records]
     ok_nondecreasing = all(b >= a for a, b in zip(edofs, edofs[1:]))

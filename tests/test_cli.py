@@ -85,13 +85,6 @@ class TestReport:
         assert code == EXIT_OK
         assert "n_edof_exact    = 625\n" in capsys.readouterr().out
 
-    def test_output_file(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = main(["report", "--side-count", "2", "--output", str(out)])
-        capsys.readouterr()
-        assert code == EXIT_OK
-        assert json.loads(out.read_text())["n_dof"] >= 1
-
     def test_aperture_whose_area_underflows(self, capsys):
         # (S d)^2 underflows to 0, so the fringe estimate A_S A_R / (lambda L)^2 is 0
         code = main(["report", "--json", "--side-count", "2", "--spacing", "1e-170"])
@@ -205,8 +198,17 @@ class TestSweep:
         # neither a preset nor an existing path
         assert main(["sweep", "fig4"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "error: unknown preset 'fig4'; available: fig2, fig3, fig5, fig6, fig7, fig8, fig9, xl\n"
+            "error: no preset or spec file 'fig4'; presets: fig2, fig3, fig5, fig6, fig7, fig8, "
+            "fig9, xl\n"
         )
+
+    def test_missing_spec_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "runs/missing.json"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: no preset or spec file 'runs/missing.json'; presets: fig2, ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_profile_preset(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
@@ -278,7 +280,24 @@ class TestNumericalErrors:
         code = main(["gainmap", "--extent", "1e160", "--points", "3", "--mode", mode,
                      "--output", str(output)])
         self.assert_numerical(code, capsys, f"{mode} gain at probe (-1e+160, -1e+160, 40.0)")
-        assert output.read_text() == ""  # created by the writability check, never written
+        assert not output.exists()  # created by the writability check, removed on the failure
+
+    @pytest.mark.parametrize(
+        "existing",
+        [(), ("spec.out.csv",), ("spec.out.csv", "spec.out.csv.spec.json")],
+        ids=["none", "csv", "csv_and_sidecar"],
+    )
+    def test_failed_sweep_leaves_no_new_file(self, tmp_path, monkeypatch, capsys, existing):
+        # the output check creates the CSV and its sidecar before the grid value overflows;
+        # it removes what it created and leaves a file that was there as it was
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({**SPEC, "grid": [1e154]}))
+        for name in existing:
+            (tmp_path / name).write_text("kept\n")
+        self.assert_numerical(main(["sweep", "spec.json"]), capsys, "spacing 1e+154 m")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", *existing]
+        for name in existing:
+            assert (tmp_path / name).read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "argv, lengths",
@@ -295,12 +314,13 @@ class TestNumericalErrors:
         ],
         ids=["report_spacing", "gainmap_spacing", "report_wavelength"],
     )
-    def test_lengths_whose_squares_overflow(self, tmp_path, capsys, argv, lengths):
+    def test_lengths_whose_squares_overflow(self, tmp_path, monkeypatch, capsys, argv, lengths):
         # numpy overflows while the channel or the focusing phases are built; each would
         # print RuntimeWarnings before the error line if the subcommand ran without errstate.
         # numpy's message names no input, so the line names the system's lengths
-        code = main([*argv, "--output", str(tmp_path / "out")])
-        self.assert_numerical(code, capsys, "overflow encountered", f" at {lengths}")
+        monkeypatch.chdir(tmp_path)
+        self.assert_numerical(main(argv), capsys, "overflow encountered", f" at {lengths}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "changes, value",
@@ -326,27 +346,32 @@ class TestNumericalErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["report"], "coincident transmit/receive antennas"),
+            (["report"], "coincident transmit/receive antennas, or their squared distance "
+             "underflows to 0"),
             # a given extent, since the default one is 2 d_th, which underflows to 0
             (
                 ["gainmap", "--points", "2", "--extent", "1e-200"],
-                "focus point coincides with a transmit antenna",
+                "focus point coincides with a transmit antenna, or their squared distance "
+                "underflows to 0",
             ),
         ],
         ids=["report", "gainmap"],
     )
-    def test_accepted_input_that_underflows(self, tmp_path, capsys, argv, message):
+    def test_accepted_input_that_underflows(self, tmp_path, monkeypatch, capsys, argv, message):
         # every distance underflows to 0; no numpy warning, unlike an overflowing separation
         flags = ["--wavelength", "1e-300", "--separation", "1e-300", "--side-count", "2",
-                 "--spacing", "1e-200", "--output", str(tmp_path / "out")]
+                 "--spacing", "1e-200"]
+        monkeypatch.chdir(tmp_path)
         self.assert_numerical(main([*argv, *flags]), capsys, message, " at wavelength 1e-300 m, ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, cause, lengths",
         [
             (
                 ["gainmap", "--separation", "1e-200", "--points", "2"],
-                "focus point coincides with a transmit antenna",
+                "focus point coincides with a transmit antenna, or their squared distance "
+                "underflows to 0",
                 "wavelength 0.01 m, spacing 0.005 m and separation 1e-200 m",
             ),
             (
@@ -547,6 +572,7 @@ class TestInputChecks:
             # each subcommand takes only the flags its handler reads
             ["threshold", "--power", "5"],
             ["threshold", "--output", "x"],
+            ["report", "--output", "x"],
             ["validate"],  # an unknown subcommand exits 1 like an unknown flag
             ["gainmap", "--side-count", "2", "--points", "3", "--energy-fraction", "0.5"],
             ["gainmap", "--side-count", "2", "--points", "3", "--extent=-1lambda"],
@@ -557,7 +583,8 @@ class TestInputChecks:
             ["gainmap", "--config", "c.json"],
         ],
         ids=[
-            "bad_int", "unknown_flag", "threshold_power", "threshold_output", "validate_removed",
+            "bad_int", "unknown_flag", "threshold_power", "threshold_output", "report_output",
+            "validate_removed",
             "gainmap_energy_fraction", "gainmap_extent_negative", "gainmap_extent_zero",
             "threshold_config", "report_config", "gainmap_config",
         ],
@@ -590,13 +617,12 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "argv, output",
         [
-            (["report", "--side-count", "2", "--spacing", "1lambda", "--separation", "1"], "missing/x.json"),
             (["sweep", "fig5"], "missing/x.csv"),
             (["sweep", "fig5"], "out.csv"),  # its sidecar path is a directory
             (["sweep", "fig7"], "missing/x.csv"),
             (["gainmap", "--points", "61"], "missing/g.csv"),
         ],
-        ids=["report", "sweep_csv", "sweep_sidecar", "sweep_profile", "gainmap"],
+        ids=["sweep_csv", "sweep_sidecar", "sweep_profile", "gainmap"],
     )
     def test_unwritable_output_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv, output):
         def no_work(*args, **kwargs):
@@ -658,7 +684,7 @@ def test_subcommand_flags():
     system = {"wavelength", "side_count", "spacing", "separation"}
     expected = {
         "threshold": system,
-        "report": system | {"energy_fraction", "power", "output", "json"},
+        "report": system | {"energy_fraction", "power", "json"},
         "sweep": {"preset", "output"},
         "gainmap": system | {"output", "mode", "extent", "points"},
     }
@@ -668,7 +694,7 @@ def test_subcommand_flags():
         for name, parser in subparsers.choices.items()
     }
     assert dests == expected
-    assert sum(map(len, dests.values())) == 22
+    assert sum(map(len, dests.values())) == 21
 
 
 def test_every_flag_has_help():

@@ -15,7 +15,6 @@ from nfmimo.experiments import (
     SystemParams,
     eigen_profile,
     PRESETS,
-    load_preset,
     run_sweep,
     write_profile_csv,
     write_sweep_csv,
@@ -196,17 +195,15 @@ class TestRunSweep:
             return original(params, value)
 
         monkeypatch.setattr(experiments, "point_metrics", fail_at_second_point)
-        with pytest.raises(NumericalError, match="spacing 0.008 m") as err:
+        with pytest.raises(NumericalError, match="^SVD did not converge at wavelength 0.01 m, "
+                           "spacing 0.008 m ") as err:
             run_sweep(small_spec(grid=(0.004, 0.008, 0.012)))
-        assert err.value.params.spacing == 0.008
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_numerical_error_survives_pickling(self):
-        params = small_spec().at(0.005)
-        err = pickle.loads(pickle.dumps(NumericalError("boom", params)))
+        err = pickle.loads(pickle.dumps(NumericalError("boom")))
         assert isinstance(err, NumericalError) and isinstance(err, ArithmeticError)
         assert str(err) == "boom"
-        assert err.params == params
 
     def test_an_outer_boundary_passes_the_inner_failure_through(self):
         spec = small_spec(grid=(0.004, 0.008))
@@ -214,7 +211,6 @@ class TestRunSweep:
             with experiments.computing(spec.at(0.008)):
                 with experiments.computing(spec.at(0.004)):
                     raise FloatingPointError("x")
-        assert err.value.params.spacing == 0.004
         assert isinstance(err.value.__cause__, FloatingPointError)
 
     def test_numpy_overflow_raises_numerical_error_without_warning(self):
@@ -259,7 +255,7 @@ class TestRunSweep:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
-        "make", [lambda: load_preset("fig3"), lambda: small_spec(notes={"k": "v"})],
+        "make", [lambda: PRESETS["fig3"], lambda: small_spec(notes={"k": "v"})],
         ids=["fig3", "small_spec_notes"],
     )
     def test_notes_survive_the_sidecar_roundtrip(self, tmp_path, make):
@@ -275,7 +271,7 @@ class TestRunSweep:
         assert sidecars[0] == sidecars[1]
 
     def test_notes_change_neither_equality_nor_hash(self):
-        spec = load_preset("fig5")
+        spec = PRESETS["fig5"]
         assert hash(spec) == hash(dataclasses.replace(spec, notes=None))
         assert dataclasses.replace(spec, notes={"x": 1}) == spec
 
@@ -360,49 +356,45 @@ class TestPresets:
     def test_names(self):
         assert list(PRESETS) == ["fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "xl"]
 
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="available: fig2, fig3, fig5, fig6, fig7, fig8, fig9, xl$"):
-            load_preset("fig4")
-
     def test_fig6_fig9_are_the_fig5_entry(self):
-        assert load_preset("fig6") is load_preset("fig5")
-        assert load_preset("fig9") is load_preset("fig5")
+        assert PRESETS["fig6"] is PRESETS["fig5"]
+        assert PRESETS["fig9"] is PRESETS["fig5"]
 
     def test_payload_type_gives_the_output_kind(self):
         for name in self.SWEEPS:
-            payload = load_preset(name)
+            payload = PRESETS[name]
             assert isinstance(payload, SweepSpec), name
             assert payload.notes, name
         for name in self.PROFILES:
-            payload = load_preset(name)
+            payload = PRESETS[name]
             assert isinstance(payload, SystemParams), name
             assert not isinstance(payload, SweepSpec), name
             assert not hasattr(payload, "notes"), name
 
     def test_fig5_grid_contains_threshold(self):
-        spec = load_preset("fig5")
+        spec = PRESETS["fig5"]
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert any(abs(g - d_th) < 1e-12 for g in spec.grid)
         assert spec.grid[0] == pytest.approx(2 * LAM)
         assert spec.grid[-1] == pytest.approx(20 * LAM)
 
     def test_fig3_threshold_at_3p2_lambda(self):
-        spec = load_preset("fig3")
+        spec = PRESETS["fig3"]
         d_th = np.sqrt(spec.wavelength * spec.separation / spec.side_count)
         assert d_th == pytest.approx(3.2 * LAM, rel=1e-12)
         assert "inferred" in spec.notes
 
     def test_xl_largest_array_sits_at_its_threshold(self):
         # the spec only: the 100 x 100 point takes about 22 s, so tier-1 never runs it
-        spec = load_preset("xl")
+        spec = PRESETS["xl"]
         assert spec.swept_variable == "antennas_per_side"
         assert spec.grid == (25, 50, 75, 100)
         assert (spec.wavelength, spec.separation) == (LAM, 40.0)
         assert spec.spacing == pytest.approx(np.sqrt(LAM * 40.0 / 100), rel=1e-12)
 
     def test_fig7_fig8_profiles(self):
-        params7 = load_preset("fig7")
-        params8 = load_preset("fig8")
+        params7 = PRESETS["fig7"]
+        params8 = PRESETS["fig8"]
         d_th = np.sqrt(LAM * 40.0 / 25)
         assert params7.spacing == pytest.approx(0.8 * d_th)
         assert params8.spacing == pytest.approx(1.5 * d_th)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel
-from nfmimo.experiments import SweepSpec, auto_power, coaxial_system, load_preset
+from nfmimo.experiments import PRESETS, SweepSpec, auto_power, coaxial_system
 from nfmimo.geometry import PlanarArray, build_upa
 from nfmimo.spectrum import (
     EigenSpectrum,
@@ -124,7 +124,7 @@ class TestEigenSpectrumInvariants:
 
 def preset_systems(name):
     """Every geometry a figure preset computes: each sweep point, or the one profile."""
-    payload = load_preset(name)
+    payload = PRESETS[name]
     points = [payload.at(v) for v in payload.grid] if isinstance(payload, SweepSpec) else [payload]
     return [coaxial_system(p) for p in points]
 
