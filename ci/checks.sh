@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The CI checks that run after tier-1, one function per workflow step:
-#   ci/checks.sh bench|presets|gainmaps|sidecar|cli|oom
+#   ci/checks.sh STEP...   (STEP: bench|presets|gainmaps|sidecar|cli|oom)
+# The steps named run in the order given, and the first that fails stops the run.
 # Each runs from the repository root and writes its outputs there. `sidecar` re-runs
-# the fig5 sidecar that `presets` writes, so run `presets` first. CI sets
-# OPENBLAS_NUM_THREADS=1, which the byte comparisons assume.
+# the fig5 sidecar that `presets` writes, so run `presets` first:
+#   ci/checks.sh presets sidecar
+# CI sets OPENBLAS_NUM_THREADS=1, which the byte comparisons assume.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -155,7 +157,19 @@ oom() {
   cmp oom_1.err oom_2.err
 }
 
-case "$1" in
-  bench | presets | gainmaps | sidecar | cli | oom) "$1" ;;
-  *) echo "usage: ci/checks.sh bench|presets|gainmaps|sidecar|cli|oom" >&2; exit 1 ;;
-esac
+usage() {
+  echo "usage: ci/checks.sh bench|presets|gainmaps|sidecar|cli|oom..." >&2
+  exit 1
+}
+
+# every name is checked before any step runs
+test $# -gt 0 || usage
+for step in "$@"; do
+  case "$step" in
+    bench | presets | gainmaps | sidecar | cli | oom) ;;
+    *) usage ;;
+  esac
+done
+for step in "$@"; do
+  "$step"
+done

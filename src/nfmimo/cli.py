@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: threshold, report, sweep, gainmap. Parameters come
-from flags over the defaults. Lengths may be given in meters or in
+Subcommands: threshold, report, sweep, gainmap. Each parameter is
+a flag that carries its default. Lengths may be given in meters or in
 wavelength multiples with a `lambda` suffix (e.g. `12.65lambda`); they are
 resolved to meters exactly once, in load_params. Nothing in the pipeline
 is random. The closed-form gain check is
@@ -31,47 +31,42 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def parse_length(text, wavelength: float, name: str = "length") -> float:
+def parse_length(text: str, wavelength: float, name: str = "length") -> float:
     """Parse a length in meters or in wavelength multiples (`lambda` suffix).
 
     A value that is neither raises ValueError naming `name`.
     """
+    s = text.strip()
     try:
-        if isinstance(text, (int, float)) and not isinstance(text, bool):
-            return float(text)
-        s = str(text).strip()
         if s.endswith("lambda"):
             return float(s[: -len("lambda")]) * wavelength
         return float(s)
-    except (ValueError, OverflowError):
+    except ValueError:
         raise ValueError(
             f"{name} must be a length in meters or wavelengths (e.g. 12.65lambda), got {text!r}"
         ) from None
 
 
-# Each parameter flag (dest -> help text); a subcommand takes the flags it reads.
-# Flag values arrive as strings and convert in load_params.
+# Each parameter flag: dest -> (help text, default text); a subcommand takes the flags it
+# reads. Values arrive as text and convert in load_params; a default of None leaves the
+# SystemParams default.
 FLAGS = {
-    "wavelength": "carrier wavelength in meters",
-    "side_count": "antennas per side",
-    "spacing": "antenna spacing (meters or e.g. 0.5lambda)",
-    "separation": "plane separation (meters or e.g. 4000lambda)",
-    "energy_fraction": "fraction of the Gram energy the exact EDoF captures "
-    f"(default {spectrum.DEFAULT_ENERGY_FRACTION})",
-    "power": "total transmit power at unit noise variance",
+    "wavelength": ("carrier wavelength in meters", "0.01"),
+    "side_count": ("antennas per side", "25"),
+    "spacing": ("antenna spacing (meters or e.g. 0.5lambda)", "0.5lambda"),
+    "separation": ("plane separation (meters or e.g. 4000lambda)", "4000lambda"),
+    "energy_fraction": (
+        "fraction of the Gram energy the exact EDoF captures "
+        f"(default {spectrum.DEFAULT_ENERGY_FRACTION})",
+        None,
+    ),
+    "power": ("total transmit power at unit noise variance", None),
 }
 SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
 
-DEFAULTS = {
-    "wavelength": 0.01,
-    "side_count": 25,
-    "spacing": "0.5lambda",
-    "separation": "4000lambda",
-}
-
 
 def _number(name, text, kind):
-    """Convert a flag's text, or a default, to `kind`; SystemParams checks the rest."""
+    """Convert a flag's text to `kind`; SystemParams checks the rest."""
     try:
         return kind(text)
     except ValueError:
@@ -91,21 +86,16 @@ def _read_json(path):
 
 
 def load_params(args) -> SystemParams:
-    """The validated parameters of the flags given, over DEFAULTS."""
-    merged = dict(DEFAULTS)
-    for name in FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+    """The validated parameters of the flags, each as given or at its default."""
     # lengths in lambda need the wavelength before SystemParams can check it
-    wavelength = _number("wavelength", merged["wavelength"], float)
-    settings = ("energy_fraction", "power")
+    wavelength = _number("wavelength", args.wavelength, float)
+    settings = {name: getattr(args, name, None) for name in ("energy_fraction", "power")}
     return SystemParams(
         wavelength=wavelength,
-        side_count=_number("side_count", merged["side_count"], int),
-        spacing=parse_length(merged["spacing"], wavelength, "spacing"),
-        separation=parse_length(merged["separation"], wavelength, "separation"),
-        **{name: _number(name, merged[name], float) for name in settings if name in merged},
+        side_count=_number("side_count", args.side_count, int),
+        spacing=parse_length(args.spacing, wavelength, "spacing"),
+        separation=parse_length(args.separation, wavelength, "separation"),
+        **{name: _number(name, text, float) for name, text in settings.items() if text is not None},
     )
 
 
@@ -232,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, summary, flags):
         p = sub.add_parser(name, help=summary)
         for dest in flags:
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest])
+            text, default = FLAGS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=text, default=default)
         return p
 
     add_parser("threshold", "print the optimal spacing threshold", SYSTEM_FLAGS)

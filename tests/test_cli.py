@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 import nfmimo
 from nfmimo import beamfocus, experiments
-from nfmimo.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_length
-from nfmimo.experiments import SweepSpec, run_sweep
+from nfmimo.cli import (
+    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, load_params, main, parse_length
+)
+from nfmimo.experiments import SweepSpec, SystemParams, run_sweep
 
 
 class TestParseLength:
@@ -17,12 +20,33 @@ class TestParseLength:
     def test_lambda_suffix(self):
         assert parse_length("12.65lambda", 0.01) == pytest.approx(0.1265)
 
-    def test_numeric_passthrough(self):
-        assert parse_length(0.02, 0.01) == 0.02
-
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_length("twelve", 0.01)
+
+
+class TestLoadParams:
+    """What the parsed flags of a subcommand resolve to."""
+
+    DEFAULT = SystemParams(wavelength=0.01, side_count=25, spacing=0.005, separation=40.0)
+
+    @staticmethod
+    def resolve(*argv):
+        return load_params(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", ["threshold", "report", "gainmap"])
+    def test_no_flags_give_the_fig5_system(self, command):
+        assert self.resolve(command) == self.DEFAULT
+
+    def test_padded_lambda_length(self):
+        assert self.resolve("threshold", "--spacing", " 3lambda ").spacing == 3 * 0.01
+
+    def test_meter_length(self):
+        assert self.resolve("threshold", "--separation", "40").separation == 40.0
+
+    def test_settings_change_only_their_fields(self):
+        params = self.resolve("report", "--energy-fraction", "0.5", "--power", "3e4")
+        assert params == dataclasses.replace(self.DEFAULT, energy_fraction=0.5, power=3e4)
 
 
 class TestThreshold:
