@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The CI checks that run after tier-1, one function per workflow step:
-#   ci/checks.sh STEP...   (STEP: bench|presets|gainmaps|sidecar|cli|oom)
+# The CI checks, one function per workflow step after the install:
+#   ci/checks.sh STEP...   (STEP: tier1|bench|presets|gainmaps|sidecar|cli|oom)
 # The steps named run in the order given, and the first that fails stops the run.
 # Each runs from the repository root and writes its outputs there. `sidecar` re-runs
 # the fig5 sidecar that `presets` writes, so run `presets` first:
@@ -8,6 +8,11 @@
 # CI sets OPENBLAS_NUM_THREADS=1, which the byte comparisons assume.
 set -e
 cd "$(dirname "$0")/.."
+
+# Tier-1 tests.
+tier1() {
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --durations=15 --continue-on-collection-errors
+}
 
 # Each benchmark workload runs and its outputs pass the oracle.
 # run.py exits 0 even when the oracle rejects an output, so the step reads the
@@ -158,7 +163,7 @@ oom() {
 }
 
 usage() {
-  echo "usage: ci/checks.sh bench|presets|gainmaps|sidecar|cli|oom..." >&2
+  echo "usage: ci/checks.sh tier1|bench|presets|gainmaps|sidecar|cli|oom..." >&2
   exit 1
 }
 
@@ -166,7 +171,7 @@ usage() {
 test $# -gt 0 || usage
 for step in "$@"; do
   case "$step" in
-    bench | presets | gainmaps | sidecar | cli | oom) ;;
+    tier1 | bench | presets | gainmaps | sidecar | cli | oom) ;;
     *) usage ;;
   esac
 done

@@ -5,7 +5,6 @@ from .beamfocus import (
     GainMode,
     array_gain,
     array_gain_closed_form,
-    focusing_phases,
     make_focus_setup,
     paraxial_parameter,
     spacing_threshold,
@@ -58,7 +57,6 @@ __all__ = [
     "edof_trace",
     "eigen_profile",
     "eigen_spectrum",
-    "focusing_phases",
     "greens",
     "make_focus_setup",
     "paraxial_parameter",

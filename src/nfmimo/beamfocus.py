@@ -50,32 +50,20 @@ class FocusSetup:
     fresnel_phases: np.ndarray
 
 
-def wrap_phase(phi):
-    """Wrap angle(s) to (-pi, pi]."""
-    return -((-np.asarray(phi) + np.pi) % (2 * np.pi) - np.pi)
-
-
-def focusing_phases(geometry: SystemGeometry, focus_point) -> np.ndarray:
-    """Per-antenna phases -k |focus - tx_j|, wrapped to (-pi, pi]."""
-    fp = np.asarray(focus_point, dtype=float)
-    if fp.shape != (3,) or not np.isfinite(fp).all():
-        raise ValueError("focus_point must be a finite 3D point")
-    dist = np.linalg.norm(fp - geometry.tx.positions, axis=1)
+def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
+    """Build a FocusSetup focused on the receive-plane center (0, 0, L): per-antenna phases
+    -k |focus - tx_j|, wrapped to (-pi, pi]."""
+    focus_z = geometry.rx.plane_offset
+    dist = np.linalg.norm((0.0, 0.0, focus_z) - geometry.tx.positions, axis=1)
     if not (dist > 0).all():
         raise ValueError(
             "focus point coincides with a transmit antenna, "
             "or their squared distance underflows to 0"
         )
-    return wrap_phase(-geometry.wavenumber * dist)
-
-
-def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
-    """Build a FocusSetup focused on the receive-plane center (0, 0, L)."""
-    fp = np.array([0.0, 0.0, geometry.rx.plane_offset])
-    phases = focusing_phases(geometry, fp)
+    phases = -((geometry.wavenumber * dist + np.pi) % (2 * np.pi) - np.pi)
     xy, z = geometry.tx.grid or (geometry.tx.positions[:, :2].T, geometry.tx.positions[0, 2])
     # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
-    fresnel_phases = -(geometry.wavenumber * (xy * xy / (2 * (fp[2] - z))))
+    fresnel_phases = -(geometry.wavenumber * (xy * xy / (2 * (focus_z - z))))
     for array in (phases, fresnel_phases):
         array.setflags(write=False)
     return FocusSetup(geometry=geometry, phases=phases, fresnel_phases=fresnel_phases)

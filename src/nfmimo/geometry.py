@@ -76,17 +76,11 @@ class PlanarArray:
 
 
 def build_upa(side_count: int, spacing: float, plane_offset: float = 0.0) -> PlanarArray:
-    """Build a centered square UPA in the plane z = plane_offset.
-
-    spacing must be positive, except that a single antenna (side_count = 1)
-    may use spacing 0.
-    """
+    """Build a centered square UPA in the plane z = plane_offset."""
     if side_count < 1:
         raise ValueError(f"side_count must be >= 1, got {side_count}")
-    if not math.isfinite(spacing) or spacing < 0:
-        raise ValueError(f"spacing must be finite and non-negative, got {spacing}")
-    if spacing == 0 and side_count > 1:
-        raise ValueError("spacing 0 is only allowed for a single antenna")
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be a positive finite number, got {spacing}")
     if not math.isfinite(plane_offset):
         raise ValueError(f"plane_offset must be finite, got {plane_offset}")
 

@@ -11,12 +11,10 @@ from nfmimo.beamfocus import (
     GainMode,
     array_gain,
     array_gain_closed_form,
-    focusing_phases,
     gain_map,
     make_focus_setup,
     paraxial_parameter,
     spacing_threshold,
-    wrap_phase,
     write_gain_map_csv,
 )
 from nfmimo.channel import SystemGeometry
@@ -40,49 +38,40 @@ def system(side=25, spacing=LAM, wavelength=LAM, separation=SEP):
     )
 
 
-class TestFocusingPhases:
+class TestMakeFocusSetup:
     def test_integer_wavelength_distance_wraps_to_zero(self):
-        geo = make_system(side=1, spacing=0.0, separation=4000 * LAM)
-        phases = focusing_phases(geo, (0, 0, geo.rx.plane_offset))
-        assert phases[0] == pytest.approx(0.0, abs=1e-6)
+        geo = make_system(side=1, spacing=0.02, separation=4000 * LAM)
+        assert make_focus_setup(geo).phases[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_mirror_symmetry(self):
-        geo = make_system(side=5, spacing=0.02)
-        phases = focusing_phases(geo, (0, 0, SEP)).reshape(5, 5)
+        phases = make_focus_setup(make_system(side=5, spacing=0.02)).phases.reshape(5, 5)
         np.testing.assert_allclose(phases, phases[::-1, :], atol=1e-9)
         np.testing.assert_allclose(phases, phases[:, ::-1], atol=1e-9)
 
     def test_matches_per_antenna_distances(self):
-        # oracle: direct loop over -k |focus - tx_j|
+        # oracle: the phasor of -k |focus - tx_j|, per antenna, unwrapped
         geo = make_system()
+        phases = make_focus_setup(geo).phases
         focus = np.array([0.0, 0.0, SEP])
-        phases = focusing_phases(geo, focus)
         k = 2 * np.pi / LAM
         for j in (0, 17, 312, 624):
-            expected = wrap_phase(-k * np.linalg.norm(focus - geo.tx.positions[j]))
-            assert phases[j] == pytest.approx(float(expected), abs=1e-9)
+            expected = np.exp(-1j * k * np.linalg.norm(focus - geo.tx.positions[j]))
+            assert np.exp(1j * phases[j]) == pytest.approx(expected, abs=1e-9)
 
     def test_wrapped_to_half_open_interval(self):
-        geo = make_system(side=7, spacing=0.033)
-        phases = focusing_phases(geo, (0.01, -0.02, SEP))
+        phases = make_focus_setup(make_system(side=7, spacing=0.033)).phases
         assert (phases > -np.pi).all() and (phases <= np.pi).all()
 
+    def test_phases_are_read_only(self):
+        setup = make_focus_setup(make_system(side=3, spacing=0.01))
+        assert not setup.phases.flags.writeable
+        assert not setup.fresnel_phases.flags.writeable
+
     def test_coincident_focus_rejected(self):
-        geo = make_system(side=3, spacing=0.01)
-        with pytest.raises(ValueError):
-            focusing_phases(geo, tuple(geo.tx.positions[0]))
-
-    def test_non_finite_focus_rejected(self):
-        with pytest.raises(ValueError, match="focus_point must be a finite 3D point"):
-            focusing_phases(make_system(side=3, spacing=0.01), (0, 0, np.inf))
-
-
-class TestWrapPhase:
-    def test_boundaries(self):
-        assert wrap_phase(np.pi) == pytest.approx(np.pi)
-        assert wrap_phase(-np.pi) == pytest.approx(np.pi)
-        assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
-        assert wrap_phase(0.0) == 0.0
+        geo = make_system(side=3, spacing=0.01, separation=1e-200)
+        with pytest.raises(ValueError, match="^focus point coincides with a transmit antenna, "
+                           "or their squared distance underflows to 0$"):
+            make_focus_setup(geo)
 
 
 class TestArrayGain:
@@ -93,7 +82,7 @@ class TestArrayGain:
             assert gain == pytest.approx(side**2, rel=1e-10)
 
     def test_single_antenna_gain_is_one(self):
-        setup = make_focus_setup(make_system(side=1, spacing=0.0))
+        setup = make_focus_setup(make_system(side=1, spacing=0.02))
         for mode in (GainMode.PHASE_ONLY, GainMode.FRESNEL):
             assert array_gain(setup, (0.3, -0.2, SEP), mode) == pytest.approx(1.0, rel=1e-9)
         # exact mode keeps the true amplitude ratio, within 1e-4 at this scale

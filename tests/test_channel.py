@@ -84,8 +84,8 @@ class TestSystemGeometry:
 
 class TestBuildChannel:
     def test_single_pair_equals_greens(self):
-        tx = build_upa(1, 0.0, 0.0)
-        rx = build_upa(1, 0.0, 0.37)
+        tx = build_upa(1, 0.005, 0.0)
+        rx = build_upa(1, 0.005, 0.37)
         geo = SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
         ch = build_channel(geo)
         assert ch.entries.shape == (1, 1)
@@ -158,7 +158,7 @@ class TestGatheredAssembly:
 
     @pytest.mark.parametrize("side", range(1, 9))
     def test_bit_identical_to_dense(self, norm_shapes, side):
-        geo = make_system(side=side, spacing=0.013 if side > 1 else 0.0, separation=3.7)
+        geo = make_system(side=side, spacing=0.013, separation=3.7)
         entries = build_channel(geo).entries
         assert norm_shapes == []
         assert np.array_equal(entries, dense_entries(geo))

@@ -63,7 +63,9 @@ class TestBuildUpa:
         with pytest.raises(ValueError):
             build_upa(3, float("nan"), 0.0)
         with pytest.raises(ValueError):
-            build_upa(2, 0.0, 0.0)  # zero spacing only valid for a single antenna
+            build_upa(2, 0.0, 0.0)
+        with pytest.raises(ValueError, match="spacing"):
+            build_upa(1, 0.0, 0.0)
 
     def test_rejects_infinite_plane_offset(self):
         with pytest.raises(ValueError, match="plane_offset must be finite, got inf"):
@@ -191,7 +193,7 @@ class TestGrid:
         positions = np.zeros((count, 3))
         positions[:, 0] = np.arange(count)
         with pytest.raises(ValueError, match=rf"got shape \({count}, 3\) for side_count 1"):
-            with_positions(build_upa(1, 0.0), positions)
+            with_positions(build_upa(1, 0.01), positions)
 
     def test_square_count_of_a_rectangle_gives_none(self):
         # 2 x 8 antennas: 16 positions, but not a 4 x 4 grid
