@@ -2,12 +2,36 @@
 # The CI checks, one function per workflow step after the install:
 #   ci/checks.sh STEP...   (STEP: tier1|bench|presets|gainmaps|sidecar|cli|oom)
 # The steps named run in the order given, and the first that fails stops the run.
-# Each runs from the repository root and writes its outputs there. `sidecar` re-runs
-# the fig5 sidecar that `presets` writes, so run `presets` first:
+# Each runs from the repository root and writes every output under runs/. `sidecar`
+# re-runs the fig5 sidecar that `presets` writes, so run `presets` first:
 #   ci/checks.sh presets sidecar
 # CI sets OPENBLAS_NUM_THREADS=1, which the byte comparisons assume.
 set -e
 cd "$(dirname "$0")/.."
+src=$PWD/src
+
+# twice NAME CODE ARGS...: run `nfmimo ARGS` in two processes, each in a fresh directory
+# runs/NAME/1 or runs/NAME/2 that holds its stdout, its stderr and every file it writes.
+# Both must exit with CODE; a failing run prints one stderr line and writes no file.
+# The two directories must be identical. -W error makes a numpy warning fail the step,
+# as it fails tier-1
+twice() {
+  local name=$1 code=$2 n dir status
+  shift 2
+  for n in 1 2; do
+    dir=runs/$name/$n
+    rm -rf $dir
+    mkdir -p $dir
+    status=0
+    (cd $dir && PYTHONPATH=$src python -W error -m nfmimo.cli "$@" > stdout 2> stderr) || status=$?
+    test $status -eq $code
+    if [ $code -ne 0 ]; then
+      test $(wc -l < $dir/stderr) -eq 1
+      test "$(ls $dir)" = $'stderr\nstdout'
+    fi
+  done
+  diff -r runs/$name/1 runs/$name/2
+}
 
 # Tier-1 tests.
 tier1() {
@@ -20,25 +44,18 @@ tier1() {
 # the runner's metrics (peak_rss_mb among them) in the job log
 bench() {
   for w in sweep_spacing offaxis_dense gainmap_cli; do
-    python3 benchmarks/run.py --workload $w --seed 1 --seconds 1 --trace 0 > bench_$w.out
-    tail -n 1 bench_$w.out
-    tail -n 1 bench_$w.out | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+    python3 benchmarks/run.py --workload $w --seed 1 --seconds 1 --trace 0 > runs/bench_$w.out
+    tail -n 1 runs/bench_$w.out
+    tail -n 1 runs/bench_$w.out | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
   done
 }
 
 # Preset output is identical across processes.
 # xl (about 14 s a run) is the only preset whose folds at S = 75 and 100 take more
-# than one slab; the fig7 and fig8 profiles write no sidecar. -W error makes a
-# numpy warning fail the job, as it fails tier-1, which never runs xl
+# than one slab; the fig7 and fig8 profiles write no sidecar
 presets() {
   for p in fig2 fig3 fig5 fig6 fig7 fig8 fig9 xl; do
-    for n in 1 2; do
-      PYTHONPATH=src python -W error -m nfmimo.cli sweep $p --output ${p}_$n.csv
-    done
-    cmp ${p}_1.csv ${p}_2.csv
-  done
-  for p in fig2 fig3 fig5 fig6 fig9 xl; do
-    cmp ${p}_1.csv.spec.json ${p}_2.csv.spec.json
+    twice $p 0 sweep $p
   done
 }
 
@@ -47,69 +64,34 @@ presets() {
 # one point is the focus (0, 0, L) alone
 gainmaps() {
   for m in exact phase_only fresnel; do
-    for n in 1 2; do
-      PYTHONPATH=src python -W error -m nfmimo.cli gainmap --mode $m --output gainmap_${m}_$n.csv
-      PYTHONPATH=src python -W error -m nfmimo.cli gainmap --mode $m --points 60 --extent 3lambda \
-        --output gainmap_even_${m}_$n.csv
-      PYTHONPATH=src python -W error -m nfmimo.cli gainmap --mode $m --points 1 \
-        --output gainmap_one_${m}_$n.csv
-    done
-    cmp gainmap_${m}_1.csv gainmap_${m}_2.csv
-    cmp gainmap_even_${m}_1.csv gainmap_even_${m}_2.csv
-    cmp gainmap_one_${m}_1.csv gainmap_one_${m}_2.csv
-    test "$(wc -l < gainmap_one_${m}_1.csv)" -eq 2
-    tail -n 1 gainmap_one_${m}_1.csv | grep -q '^0,0,'
+    twice gainmap_$m 0 gainmap --mode $m
+    twice gainmap_even_$m 0 gainmap --mode $m --points 60 --extent 3lambda
+    twice gainmap_one_$m 0 gainmap --mode $m --points 1
+    test $(wc -l < runs/gainmap_one_$m/1/gainmap.csv) -eq 2
+    tail -n 1 runs/gainmap_one_$m/1/gainmap.csv | grep -q '^0,0,'
   done
 }
 
 # The sidecar re-runs to the same CSV and sidecar.
-# a spec file of integer JSON numbers too; a grid that is no list exits 1 with one line
+# a spec file of integer JSON numbers too; a grid that is no list, a truncated spec, a spec
+# that is not UTF-8 and a spec that does not exist each exit 1 with one line and write no
+# output beside the spec, and the two malformed ones name their file
 sidecar() {
-  PYTHONPATH=src python -W error -m nfmimo.cli sweep fig5_1.csv.spec.json --output rerun.csv
-  cmp fig5_1.csv rerun.csv
-  cmp fig5_1.csv.spec.json rerun.csv.spec.json
-  echo '{"swept_variable": "antennas_per_side", "grid": [2, 3], "wavelength": 0.01, "spacing": 0.05, "separation": 1}' > ints.json
-  for n in 1 2; do
-    PYTHONPATH=src python -W error -m nfmimo.cli sweep ints.json --output ints_$n.csv
+  twice rerun 0 sweep ../../fig5/1/fig5.csv.spec.json --output fig5.csv
+  diff -r runs/fig5/1 runs/rerun/1
+  echo '{"swept_variable": "antennas_per_side", "grid": [2, 3], "wavelength": 0.01, "spacing": 0.05, "separation": 1}' > runs/ints.json
+  twice ints 0 sweep ../../ints.json --output ints.csv
+  twice ints_rerun 0 sweep ../../ints/1/ints.csv.spec.json --output ints.csv
+  diff -r runs/ints/1 runs/ints_rerun/1
+  echo '{"swept_variable": "spacing", "grid": "0.05", "wavelength": 0.01, "side_count": 2, "separation": 1}' > runs/text_grid.json
+  printf '{"swept_variable": "spacing", "grid": [0.05' > runs/truncated.json
+  printf '\377\376' > runs/not_utf8.json
+  for f in text_grid truncated not_utf8 missing; do
+    twice $f 1 sweep ../../$f.json
+    test ! -e runs/$f.out.csv
   done
-  PYTHONPATH=src python -W error -m nfmimo.cli sweep ints_1.csv.spec.json --output ints_rerun.csv
-  for f in ints_2 ints_rerun; do
-    cmp ints_1.csv $f.csv
-    cmp ints_1.csv.spec.json $f.csv.spec.json
-  done
-  echo '{"swept_variable": "spacing", "grid": "0.05", "wavelength": 0.01, "side_count": 2, "separation": 1}' > text_grid.json
-  for n in 1 2; do
-    code=0
-    PYTHONPATH=src python -W error -m nfmimo.cli sweep text_grid.json 2> text_grid_$n.err || code=$?
-    test $code -eq 1
-    test $(wc -l < text_grid_$n.err) -eq 1
-  done
-  cmp text_grid_1.err text_grid_2.err
-  # a truncated spec and a spec that is not UTF-8 each exit 1 with one line naming the file
-  printf '{"swept_variable": "spacing", "grid": [0.05' > truncated.json
-  printf '\377\376' > not_utf8.json
-  for c in "sweep truncated.json" "sweep not_utf8.json"; do
-    f=$(echo $c | tr -d ' -.')
-    for n in 1 2; do
-      code=0
-      PYTHONPATH=src python -W error -m nfmimo.cli $c 2> ${f}_$n.err || code=$?
-      test $code -eq 1
-      test $(wc -l < ${f}_$n.err) -eq 1
-      grep -q "^error: ${c##* }: " ${f}_$n.err
-    done
-    cmp ${f}_1.err ${f}_2.err
-  done
-  test ! -e truncated.out.csv
-  test ! -e not_utf8.out.csv
-  # a spec file that does not exist exits 1 with one line and creates no output
-  for n in 1 2; do
-    code=0
-    PYTHONPATH=src python -W error -m nfmimo.cli sweep missing.json 2> missing_$n.err || code=$?
-    test $code -eq 1
-    test $(wc -l < missing_$n.err) -eq 1
-  done
-  cmp missing_1.err missing_2.err
-  test ! -e missing.out.csv
+  grep -q '^error: \.\./\.\./truncated\.json: ' runs/truncated/1/stderr
+  grep -q '^error: \.\./\.\./not_utf8\.json: ' runs/not_utf8/1/stderr
 }
 
 # Report and threshold output is identical across processes.
@@ -119,47 +101,23 @@ sidecar() {
 # numpy, whose warning the numerical-failure boundary raises as that one line; a gain map
 # whose focus distances underflow leaves no output file behind
 cli() {
-  for c in report "report --json" threshold; do
-    f=cli_$(echo $c | tr -d ' -')
-    for n in 1 2; do
-      PYTHONPATH=src python -W error -m nfmimo.cli $c > ${f}_$n.out
-    done
-    cmp ${f}_1.out ${f}_2.out
-  done
-  for c in "threshold --wavelength 1e300 --separation 1e300 --spacing 1" "threshold --spacing 1e154" \
-    "report --wavelength 1e-154 --spacing 1e-154 --separation 1e-154 --side-count 2" \
-    "report --wavelength 1e-5 --spacing 1e75 --separation 1e-5 --side-count 2" \
-    "report --spacing 1e160" \
-    "report --spacing 0.002 --side-count 5 --separation 0.05 --power 1e308"; do
-    f=err_$(echo $c | tr -d ' -')
-    for n in 1 2; do
-      code=0
-      PYTHONPATH=src python -W error -m nfmimo.cli $c 2> ${f}_$n.err || code=$?
-      test $code -eq 2
-      test $(wc -l < ${f}_$n.err) -eq 1
-    done
-    cmp ${f}_1.err ${f}_2.err
-  done
-  code=0
-  PYTHONPATH=src python -W error -m nfmimo.cli gainmap --separation 1e-200 --points 2 \
-    --output err.csv 2> err_gainmap.err || code=$?
-  test $code -eq 2
-  test $(wc -l < err_gainmap.err) -eq 1
-  test ! -e err.csv
+  twice report 0 report
+  twice report_json 0 report --json
+  twice threshold 0 threshold
+  twice d_th_overflow 2 threshold --wavelength 1e300 --separation 1e300 --spacing 1
+  twice epsilon_overflow 2 threshold --spacing 1e154
+  twice fringe_underflow 2 report --wavelength 1e-154 --spacing 1e-154 --separation 1e-154 --side-count 2
+  twice fringe_overflow 2 report --wavelength 1e-5 --spacing 1e75 --separation 1e-5 --side-count 2
+  twice distance_overflow 2 report --spacing 1e160
+  twice capacity_overflow 2 report --spacing 0.002 --side-count 5 --separation 0.05 --power 1e308
+  twice focus_underflow 2 gainmap --separation 1e-200 --points 2
 }
 
 # Running out of memory exits 2 with one line.
 # at S = 300 the first fold asks for 7.5 GiB, so under a 1.5 GB address-space limit the
 # allocation fails at once; MemoryError on accepted input is a numerical failure
 oom() {
-  for n in 1 2; do
-    code=0
-    (ulimit -v 1500000; PYTHONPATH=src python -W error -m nfmimo.cli report --side-count 300) \
-      2> oom_$n.err || code=$?
-    test $code -eq 2
-    test $(wc -l < oom_$n.err) -eq 1
-  done
-  cmp oom_1.err oom_2.err
+  (ulimit -v 1500000; twice oom 2 report --side-count 300)
 }
 
 usage() {
@@ -175,6 +133,7 @@ for step in "$@"; do
     *) usage ;;
   esac
 done
+mkdir -p runs
 for step in "$@"; do
   "$step"
 done

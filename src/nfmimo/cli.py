@@ -66,7 +66,7 @@ SYSTEM_FLAGS = ("wavelength", "side_count", "spacing", "separation")
 
 
 def _number(name, text, kind):
-    """Convert a flag's text to `kind`; SystemParams checks the rest."""
+    """Convert a flag's text to `kind`; SystemParams or the subcommand checks the rest."""
     try:
         return kind(text)
     except ValueError:
@@ -160,7 +160,7 @@ def cmd_sweep(args) -> int:
     else:
         presets = ", ".join(experiments.PRESETS)
         raise ValueError(f"no preset or spec file {target!r}; presets: {presets}")
-    output = args.output or default_output
+    output = default_output if args.output is None else args.output
 
     if not isinstance(payload, experiments.SweepSpec):
         with _check_outputs(output):
@@ -180,21 +180,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_gainmap(args) -> int:
     params = load_params(args)
-    if not 1 <= args.points <= experiments.MAX_GRID_POINTS:
-        raise ValueError(
-            f"--points must be from 1 to {experiments.MAX_GRID_POINTS}, got {args.points}"
-        )
+    points = _number("--points", args.points, int)
+    if not 1 <= points <= experiments.MAX_GRID_POINTS:
+        raise ValueError(f"--points must be from 1 to {experiments.MAX_GRID_POINTS}, got {points}")
     if args.extent is not None:
         extent = parse_length(args.extent, params.wavelength, "--extent")
         if not 0 < extent < np.inf:
             raise ValueError(f"--extent must be a positive finite length, got {args.extent}")
-    output = args.output or "gainmap.csv"
+    output = "gainmap.csv" if args.output is None else args.output
     mode = GainMode(args.mode)
     with _check_outputs(output):
         with computing(params):
             if args.extent is None:
                 extent = 2 * beamfocus.spacing_threshold(params)
-            coords = np.linspace(-extent, extent, args.points).tolist() if args.points > 1 else [0.0]
+            coords = np.linspace(-extent, extent, points).tolist() if points > 1 else [0.0]
             setup = beamfocus.make_focus_setup(coaxial_system(params))
             gains = beamfocus.gain_map(setup, coords, mode)
         beamfocus.write_gain_map_csv(coords, mode, gains, output)
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     modes = [m.value for m in GainMode]
     p_map.add_argument("--mode", choices=modes, default="phase_only", help="gain model")
     p_map.add_argument("--extent", help="half-width of the probe grid (meters or lambda)")
-    p_map.add_argument("--points", type=int, default=41, help="probes per axis")
+    p_map.add_argument("--points", default="41", help="probes per axis")
     return parser
 
 

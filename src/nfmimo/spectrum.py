@@ -25,7 +25,12 @@ DOF_FLOOR = 1e-12
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Eigenvalues mu_i^2 of G G^H, kept as a read-only descending float copy, and their
-    sum `total_energy`; raises ValueError unless that sum is positive and finite."""
+    sum `total_energy`; raises ValueError unless that sum is positive and finite.
+
+    `source_dims` is the decomposed channel's shape. No result reads it. It stays because
+    the benchmark's off-axis capture records it and that workload's oracle checks it; it
+    goes with a benchmark change that takes the shape from the channel instead.
+    """
 
     values: np.ndarray
     source_dims: tuple[int, int]
@@ -137,6 +142,11 @@ def capacity(
 
     sum over the top `truncate_to` eigenvalues (all when None) of
     log2(1 + P mu_i^2 / (sigma_n^2 N_S)).
+
+    `noise_variance` is sigma_n^2. The package's one caller, `point_metrics`, passes 1,
+    since `SystemParams.power` is the power at unit noise variance. The argument stays
+    because the benchmark's off-axis workload passes it too; it goes with a benchmark
+    change.
     """
     if not total_power >= 0:
         raise ValueError(f"total_power must be >= 0, got {total_power}")

@@ -627,8 +627,13 @@ class TestInputChecks:
             (["report", "--side-count", "abc"], "side_count must be an integer, got 'abc'"),
             (["threshold", "--wavelength", "x"], "wavelength must be a number, got 'x'"),
             (["report", "--power", "abc"], "power must be a number, got 'abc'"),
+            (["gainmap", "--points", "abc"], "--points must be an integer, got 'abc'"),
+            (["gainmap", "--points", "1e3"], "--points must be an integer, got '1e3'"),
         ],
-        ids=["flag_spacing", "flag_extent", "flag_side_count", "flag_wavelength", "flag_power"],
+        ids=[
+            "flag_spacing", "flag_extent", "flag_side_count", "flag_wavelength", "flag_power",
+            "flag_points_text", "flag_points_float",
+        ],
     )
     def test_non_numeric_value_names_its_field(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -665,6 +670,19 @@ class TestInputChecks:
         # opening for append created nothing and truncated nothing
         assert (tmp_path / "out.csv").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.spec.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "fig5"], ["sweep", "fig7"], ["sweep", "spec.json"], ["gainmap", "--points", "3"]],
+        ids=["preset_sweep", "preset_profile", "spec_file", "gainmap"],
+    )
+    def test_empty_output_is_a_path_that_cannot_be_opened(self, tmp_path, monkeypatch, capsys, argv):
+        # not the default path, which would overwrite a file of that name in the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+        assert main([*argv, "--output", ""]) == EXIT_VALIDATION
+        assert_one_line_error(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
