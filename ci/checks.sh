@@ -52,10 +52,15 @@ bench() {
 
 # Preset output is identical across processes.
 # xl (about 14 s a run) is the only preset whose folds at S = 75 and 100 take more
-# than one slab; the fig7 and fig8 profiles write no sidecar
+# than one slab; the fig7 and fig8 profiles write no sidecar. fig6 and fig9 name the
+# fig5 payload, so their CSVs and sidecars are fig5's byte for byte
 presets() {
   for p in fig2 fig3 fig5 fig6 fig7 fig8 fig9 xl; do
     twice $p 0 sweep $p
+  done
+  for p in fig6 fig9; do
+    cmp runs/fig5/1/fig5.csv runs/$p/1/$p.csv
+    cmp runs/fig5/1/fig5.csv.spec.json runs/$p/1/$p.csv.spec.json
   done
 }
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import SystemGeometry, _distance
+from .channel import SystemGeometry, _apart, _distance
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import SystemParams
@@ -55,11 +55,7 @@ def make_focus_setup(geometry: SystemGeometry) -> FocusSetup:
     -k |focus - tx_j|, wrapped to (-pi, pi]."""
     focus_z = geometry.rx.plane_offset
     dist = np.linalg.norm((0.0, 0.0, focus_z) - geometry.tx.positions, axis=1)
-    if not (dist > 0).all():
-        raise ValueError(
-            "focus point coincides with a transmit antenna, "
-            "or their squared distance underflows to 0"
-        )
+    _apart(dist, "focus point coincides with a transmit antenna")
     phases = -((geometry.wavenumber * dist + np.pi) % (2 * np.pi) - np.pi)
     xy, z = geometry.tx.grid or (geometry.tx.positions[:, :2].T, geometry.tx.positions[0, 2])
     # (0 - x)^2 == x * x, so at the focus each axis phase cancels bit for bit
@@ -90,16 +86,12 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
         offsets = probe[:2, None] - xy
         offsets *= offsets
         dz = float(probe[2] - z)
+        subject = "probe point coincides with a transmit antenna"
         if tx.grid is None:  # every antenna's distance, by one np.linalg.norm
             dist = np.linalg.norm(probe - tx.positions, axis=1)
-            coincident = not (dist > 0).all()
-        else:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
-            coincident = dz * dz == 0 and not offsets.min(axis=1).sum() > 0
-        if coincident:
-            raise ValueError(
-                "probe point coincides with a transmit antenna, "
-                "or their squared distance underflows to 0"
-            )
+            _apart(dist, subject)
+        elif dz * dz == 0:  # float addition is monotone: with dz^2 > 0 no squared distance is 0
+            _apart(offsets.min(axis=1).sum(), subject)
         if mode is not GainMode.FRESNEL:
             if tx.grid is not None:  # antenna (n, m) is row n * S + m, as in `positions`
                 dist = _distance(offsets[0][:, None], offsets[1], dz).ravel()
@@ -115,19 +107,15 @@ def array_gain(setup: FocusSetup, probe_point, mode: GainMode = GainMode.PHASE_O
         else:
             # the expanded phase is k Lz plus, per axis, k (p_x - x)^2 / (2 Lz) and its
             # steering; k Lz - k L drops out of |.|^2. On a grid the phasor sum factors into
-            # one S-term sum per axis
+            # the product of one S-term sum per axis; per pair it is one row of N terms
             offsets /= 2 * dz
             phases = np.multiply(offsets, k, out=offsets)
             phases += setup.fresnel_phases
             if tx.grid is None:
-                phasors = np.multiply(np.add(phases[0], phases[1]), 1j)
-                np.exp(phasors, out=phasors)
-                gain = np.abs(np.add.reduce(phasors)) ** 2
-            else:
-                phasors = np.multiply(phases, 1j)
-                np.exp(phasors, out=phasors)
-                axis_gains = np.abs(np.add.reduce(phasors, axis=1)) ** 2
-                gain = axis_gains[0] * axis_gains[1]
+                phases = np.add(phases[0], phases[1])[None]
+            phasors = np.multiply(phases, 1j)
+            np.exp(phasors, out=phasors)
+            gain = math.prod((np.abs(np.add.reduce(phasors, axis=1)) ** 2).tolist())
         gain = float(gain / tx.size)
     if not math.isfinite(gain):
         raise ArithmeticError(

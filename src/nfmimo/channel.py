@@ -147,16 +147,20 @@ def _distance(dx2: np.ndarray, dy2: np.ndarray, dz: float) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
+def _apart(r, subject: str) -> None:
+    """Raise ValueError naming `subject` unless every value in r, distances or a squared
+    distance, is positive; nan counts as 0."""
+    if not (r > 0).all():
+        raise ValueError(f"{subject}, or their squared distance underflows to 0")
+
+
 def _kernel(r: np.ndarray, wavenumber: float, out: np.ndarray | None = None) -> np.ndarray:
     """-exp(i k r) / (4 pi r), rounded as that expression rounds it; overwrites r.
 
     The result goes in `out`, a complex array of r's shape, or in one new complex array
     when `out` is None. Both take the same ufunc calls in the same order, so the bits match.
     """
-    if not (r > 0).all():
-        raise ValueError(
-            "coincident transmit/receive antennas, or their squared distance underflows to 0"
-        )
+    _apart(r, "coincident transmit/receive antennas")
     g = np.multiply(1j * wavenumber, r, out=out)
     np.exp(g, out=g)
     np.negative(g, out=g)

@@ -23,6 +23,9 @@ from nfmimo.geometry import PlanarArray, build_upa
 
 LAM = 0.01
 SEP = 40.0
+PROBE_ON_ANTENNA = (
+    "^probe point coincides with a transmit antenna, or their squared distance underflows to 0$"
+)
 
 
 def make_system(side=25, spacing=0.1265, wavelength=LAM, separation=SEP):
@@ -275,7 +278,7 @@ class TestGridRoute:
         antenna = tx.positions[index % tx.size]
         for route in (setup, pair_route(setup)):
             for mode in GainMode:
-                with pytest.raises(ValueError, match="coincides with a transmit antenna"):
+                with pytest.raises(ValueError, match=PROBE_ON_ANTENNA):
                     array_gain(route, antenna, mode)
 
     @pytest.mark.parametrize("mode", list(GainMode), ids=lambda mode: mode.value)
@@ -284,7 +287,7 @@ class TestGridRoute:
         setup = make_focus_setup(make_system(side=3, spacing=0.02))
         x, y, z = setup.geometry.tx.positions[5]
         for route in (setup, pair_route(setup)):
-            with pytest.raises(ValueError, match="coincides with a transmit antenna"):
+            with pytest.raises(ValueError, match=PROBE_ON_ANTENNA):
                 array_gain(route, (x, y, z + 1e-200), mode)
             assert math.isfinite(array_gain(route, (x, y, z + 1e-100), mode))
 

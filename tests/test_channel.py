@@ -19,6 +19,7 @@ from nfmimo.beamfocus import spacing_threshold
 from nfmimo.geometry import PlanarArray, build_upa
 
 FIG5 = SystemParams(wavelength=0.01, side_count=25, spacing=0.01, separation=40.0)
+COINCIDENT = "^coincident transmit/receive antennas, or their squared distance underflows to 0$"
 
 
 def make_system(side=3, spacing=0.005, wavelength=0.01, separation=0.1):
@@ -122,6 +123,21 @@ class TestBuildChannel:
             make_system(side=2, spacing=0.005 * c, wavelength=0.01 * c, separation=0.1 * c)
         )
         np.testing.assert_allclose(scaled.entries, base.entries / c, rtol=1e-12)
+
+    def test_coaxial_grids_whose_squared_distances_underflow_rejected(self):
+        # README's `report --wavelength 1e-300 --separation 1e-300 --spacing 1e-200`
+        params = SystemParams(wavelength=1e-300, side_count=2, spacing=1e-200, separation=1e-300)
+        with pytest.raises(ValueError, match=COINCIDENT):
+            build_channel(coaxial_system(params))
+
+    def test_receive_antenna_on_a_transmit_antenna_rejected(self):
+        tx = build_upa(2, 0.005, 0.0)
+        positions = tx.positions + (0.0, 0.0, 0.1)
+        positions[0] = tx.positions[0]  # off the receive plane, so the per-pair route
+        rx = PlanarArray(2, 0.005, 0.1, positions)
+        assert rx.grid is None
+        with pytest.raises(ValueError, match=COINCIDENT):
+            build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
 
     def test_gram_is_hermitian_psd(self):
         ch = build_channel(make_system(side=3))
