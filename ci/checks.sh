@@ -101,16 +101,18 @@ sidecar() {
 
 # Report and threshold output is identical across processes.
 # a numerical failure exits 2 with one stderr line, the same in every process.
-# d_th overflows at the 1e300 pair with spacing 1; the two fringe-EDoF reports leave the
-# float range in plain Python floats; the 1e160 spacing and the 1e308 power overflow in
-# numpy, whose warning the numerical-failure boundary raises as that one line; a gain map
-# whose focus distances underflow leaves no output file behind
+# d_th overflows at the 1e300 pair with spacing 1, and d_th / lambda at lambda 1e-320 and
+# L 1e300; the two fringe-EDoF reports leave the float range in plain Python floats; the
+# 1e160 spacing and the 1e308 power overflow in numpy, whose warning the numerical-failure
+# boundary raises as that one line; a gain map whose focus distances underflow leaves no
+# output file behind
 cli() {
   twice report 0 report
   twice report_json 0 report --json
   twice threshold 0 threshold
   twice d_th_overflow 2 threshold --wavelength 1e300 --separation 1e300 --spacing 1
   twice epsilon_overflow 2 threshold --spacing 1e154
+  twice threshold_lambda 2 threshold --wavelength 1e-320 --separation 1e300 --spacing 1e-100
   twice fringe_underflow 2 report --wavelength 1e-154 --spacing 1e-154 --separation 1e-154 --side-count 2
   twice fringe_overflow 2 report --wavelength 1e-5 --spacing 1e75 --separation 1e-5 --side-count 2
   twice distance_overflow 2 report --spacing 1e160

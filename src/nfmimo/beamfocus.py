@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import SystemGeometry, _apart, _distance
+from .channel import SystemGeometry, _apart, _distance, _finite
 
 if TYPE_CHECKING:  # experiments imports this module
     from .experiments import SystemParams
@@ -134,12 +134,9 @@ def array_gain_closed_form(params: SystemParams) -> float:
     for x <= 1/2. Integer x (r = 0) is a removable singularity and returns the limit N,
     as does a subnormal r, at which the limit is exact in floats and pi r too coarse.
     """
-    try:
-        x = params.spacing**2 / (params.wavelength * params.separation)
-    except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
-        x = math.inf
-    if not math.isfinite(x):  # or the quotient overflows
-        raise ArithmeticError("x = d^2 / (lambda L) leaves the float range")
+    x = _finite(
+        "x = d^2 / (lambda L)", lambda: params.spacing**2 / (params.wavelength * params.separation)
+    )
     r = math.remainder(x, 1.0)  # x - round(x), exactly
     if abs(r) < np.finfo(float).tiny:  # the smallest normal float
         return float(params.n_antennas)
@@ -147,24 +144,21 @@ def array_gain_closed_form(params: SystemParams) -> float:
 
 
 def spacing_threshold(params: SystemParams) -> float:
-    """Optimal spacing sqrt(lambda L / sqrt(N)): first zero of the nearest-neighbor gain.
-
-    Reads no spacing: any valid one gives the threshold of the system's array and lengths."""
-    d_th = math.sqrt(params.wavelength * params.separation / params.side_count)
-    if not 0 < d_th < math.inf:  # lambda L overflows to inf or underflows to 0
-        raise ArithmeticError("d_th = sqrt(lambda L / sqrt(N)) leaves the float range")
-    return d_th
+    """Optimal spacing sqrt(lambda L / sqrt(N)), the first zero of the nearest-neighbor gain;
+    unequal spacings take all N modes at the product d_tx d_rx = lambda L / sqrt(N). Reads no
+    spacing: any valid one gives the threshold of the system's array and lengths."""
+    return _finite(  # lambda L overflows, or underflows to a d_th of 0, which is no threshold
+        "d_th = sqrt(lambda L / sqrt(N))",
+        lambda: math.sqrt(params.wavelength * params.separation / params.side_count) or math.inf,
+    )
 
 
 def paraxial_parameter(params: SystemParams) -> float:
     """epsilon = sqrt(N) d^2 / (lambda L); equals 1 at the spacing threshold."""
-    try:
-        epsilon = params.side_count * params.spacing**2 / (params.wavelength * params.separation)
-    except ArithmeticError:  # spacing**2 overflows, or lambda L underflows to 0
-        epsilon = math.inf
-    if not math.isfinite(epsilon):  # or the product or quotient overflows
-        raise ArithmeticError("epsilon = sqrt(N) d^2 / (lambda L) leaves the float range")
-    return epsilon
+    return _finite(
+        "epsilon = sqrt(N) d^2 / (lambda L)",
+        lambda: params.side_count * params.spacing**2 / (params.wavelength * params.separation),
+    )
 
 
 def gain_map(setup: FocusSetup, coords, mode: GainMode = GainMode.PHASE_ONLY) -> list[float]:

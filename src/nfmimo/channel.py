@@ -36,6 +36,7 @@ from a twin's blocks and its gather; the channel flags what it holds read-only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections.abc import Callable
@@ -152,6 +153,14 @@ def _apart(r, subject: str) -> None:
     distance, is positive; nan counts as 0."""
     if not (r > 0).all():
         raise ValueError(f"{subject}, or their squared distance underflows to 0")
+
+
+def _finite(quantity: str, compute: Callable[[], float]) -> float:
+    """compute(), or ArithmeticError naming `quantity` if it raises one or gives inf or nan."""
+    with contextlib.suppress(ArithmeticError):  # a ** overflow or a division by zero
+        if math.isfinite(value := compute()):
+            return value
+    raise ArithmeticError(f"{quantity} leaves the float range")
 
 
 def _kernel(r: np.ndarray, wavenumber: float, out: np.ndarray | None = None) -> np.ndarray:

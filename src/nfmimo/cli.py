@@ -23,7 +23,7 @@ import numpy as np
 
 from . import beamfocus, experiments, spectrum
 from .beamfocus import GainMode
-from .channel import build_channel  # noqa: F401  (benchmarks/test_benchmark.py traces it here)
+from .channel import _finite, build_channel  # noqa: F401  (benchmarks/ traces build_channel here)
 from .experiments import SystemParams, coaxial_system, computing
 
 EXIT_OK = 0
@@ -119,7 +119,8 @@ def cmd_threshold(args) -> int:
     with computing(params):
         eps = beamfocus.paraxial_parameter(params)
         d_th = beamfocus.spacing_threshold(params)
-    print(f"d_threshold = {d_th:.4g} m = {d_th / params.wavelength:.4g} lambda")
+        multiple = _finite("d_th / lambda", lambda: d_th / params.wavelength)
+    print(f"d_threshold = {d_th:.4g} m = {multiple:.4g} lambda")
     print(f"configured spacing = {params.spacing:.4g} m -> epsilon = {eps:.4g}")
     return EXIT_OK
 

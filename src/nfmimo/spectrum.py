@@ -10,12 +10,11 @@ trace ratio tr^2(GG^H) / ||GG^H||_F^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, _finite
 from .geometry import PlanarArray
 
 DEFAULT_ENERGY_FRACTION = 0.999
@@ -102,13 +101,10 @@ def edof_fringes(area_tx: float, area_rx: float, wavelength: float, separation: 
     for name, v in (("wavelength", wavelength), ("separation", separation)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v}")
-    try:
-        fringes = (area_tx * area_rx) / (wavelength**2 * separation**2)
-    except ArithmeticError:  # a square overflows, or (lambda L)^2 underflows to 0
-        fringes = math.inf
-    if not math.isfinite(fringes):  # or the product or quotient overflows
-        raise ArithmeticError("the fringe EDoF A_S A_R / (lambda L)^2 leaves the float range")
-    return fringes
+    return _finite(
+        "the fringe EDoF A_S A_R / (lambda L)^2",
+        lambda: (area_tx * area_rx) / (wavelength**2 * separation**2),
+    )
 
 
 def plane_area(array: PlanarArray) -> float:

@@ -217,3 +217,44 @@ def test_criterion_8_antenna_trend():
     ok_nondecreasing = all(b >= a for a, b in zip(edofs, edofs[1:]))
     ok_sublinear = all(b < 4 * a for a, b in zip(edofs, edofs[1:]))
     report(8, "EDoF nondecreasing and sublinear in antenna count", ok_nondecreasing and ok_sublinear)
+
+
+def test_criterion_9_product_law():
+    # unequal spacings: all N modes and the neighbour's gain null need only d_tx d_rx = d_th^2.
+    # Arrays of unequal spacings share no grid, so their channels take the dense grid route
+    def system(side, d_tx, d_rx):
+        return SystemGeometry(build_upa(side, d_tx, 0.0), build_upa(side, d_rx, SEP), LAM)
+
+    def threshold(side):
+        return spacing_threshold(
+            SystemParams(wavelength=LAM, side_count=side, spacing=LAM, separation=SEP)
+        )
+
+    def count(side, d_tx, d_rx):
+        return edof_exact(eigen_spectrum(build_channel(system(side, d_tx, d_rx))))
+
+    def neighbour_gain(side, d_tx, d_rx):
+        # phase-only gain at the receive neighbour (d_rx, 0, L) of the focus, over N
+        setup = make_focus_setup(system(side, d_tx, d_rx))
+        return array_gain(setup, (d_rx, 0.0, SEP), GainMode.PHASE_ONLY) / side**2
+
+    d_th = threshold(15)
+    counts = [count(15, a * d_th, d_th / a) for a in (0.5, 0.6, 0.8, 0.9, 1.0)]
+    report(9, "(a) n_edof_exact = N at every split d_tx d_rx = d_th^2", counts == [225] * 5,
+           f"counts {counts}")
+
+    nulls, contrasts = [], []
+    for side in (15, 25):
+        d_th = threshold(side)
+        for a in (0.5, 0.8):
+            nulls.append(neighbour_gain(side, a * d_th, d_th / a))
+            contrasts.append(neighbour_gain(side, a * d_th, d_th))
+    ok = max(nulls) < 1e-6 and min(contrasts) > 1e-2
+    report(9, "(b) neighbour gain < 1e-6 N at the product split, > 1e-2 N at (a d_th, d_th)", ok,
+           f"nulls {nulls}, contrasts {contrasts}")
+
+    d_th = threshold(15)
+    pairs = [(count(15, a * d_th, d_th), count(15, a**0.5 * d_th, a**0.5 * d_th)) for a in (0.5, 0.8)]
+    ok = all(abs(unequal - square) <= 1 for unequal, square in pairs)
+    report(9, "(c) count at (a d_th, d_th) within 1 of the square array's at epsilon = a", ok,
+           f"(unequal, square) {pairs}")

@@ -462,6 +462,25 @@ class TestParaxialParameter:
         params = system(side=side, spacing=3.2 * lam, wavelength=lam, separation=sep)
         assert paraxial_parameter(params) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            {"wavelength": 1e-300, "separation": 1e-300, "spacing": 1.0},  # lambda L underflows to 0
+            {"spacing": 1e200},  # d^2 overflows
+            {"wavelength": 1e-10, "separation": 1e-10, "spacing": 1e150},  # the quotient overflows
+        ],
+        ids=["underflow", "square_overflow", "quotient_overflow"],
+    )
+    def test_out_of_float_range_names_epsilon(self, lengths):
+        # the CLI's threshold checks this too; here the boundary adds the system's lengths, once
+        params = system(side=2, **lengths)
+        quantity = re.escape("epsilon = sqrt(N) d^2 / (lambda L) leaves the float range")
+        with pytest.raises(ArithmeticError, match=f"^{quantity}$"):
+            paraxial_parameter(params)
+        with pytest.raises(NumericalError, match=f"^{quantity} at wavelength .*, side count 2$"):
+            with computing(params):
+                paraxial_parameter(params)
+
 
 class TestGainMap:
     def test_rows_and_csv(self, tmp_path):

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -428,6 +431,11 @@ class TestNumericalErrors:
                 "epsilon = sqrt(N) d^2 / (lambda L) leaves the float range",
                 "wavelength 1e-300 m, spacing 5e-301 m and separation 1e-300 m",
             ),
+            (
+                ["threshold", "--wavelength", "1e-320", "--separation", "1e300", "--spacing", "1e-100"],
+                "d_th / lambda leaves the float range",
+                "wavelength 1e-320 m, spacing 1e-100 m and separation 1e+300 m",
+            ),
         ],
         ids=[
             "gainmap_coincident",
@@ -437,6 +445,7 @@ class TestNumericalErrors:
             "threshold_d_th",
             "threshold_spacing",
             "threshold_underflow",
+            "threshold_lambda",
         ],
     )
     def test_threshold_out_of_float_range_names_the_lengths(
@@ -448,6 +457,24 @@ class TestNumericalErrors:
         err = self.assert_numerical(main(argv), capsys, f"{cause} at {lengths}, side count 25")
         for name in ("wavelength", "spacing", "separation"):
             assert err.count(f"{name} ") == 1
+
+    def test_extreme_lengths_print_finite_numbers_or_fail_in_one_line(self, capsys):
+        # d_th / lambda used to print as inf with exit 0 at lambda = 1e-320, L = 1e307
+        lengths = ("1e-320", "1e-154", "1", "1e154", "1e307")
+        for wavelength, spacing, separation in itertools.product(lengths, repeat=3):
+            flags = ["--wavelength", wavelength, "--spacing", spacing, "--separation", separation]
+            for command in (["threshold"], ["report", "--side-count", "2"]):
+                code = main([*command, *flags])
+                out, err = capsys.readouterr()
+                case = f"{command[0]} {' '.join(flags)}: {out}{err}"
+                if code == EXIT_OK:
+                    numbers = []
+                    for token in out.split():  # "inf" and "nan" parse too
+                        with contextlib.suppress(ValueError):
+                            numbers.append(float(token))
+                    assert numbers and all(map(math.isfinite, numbers)), case
+                else:
+                    assert code == EXIT_NUMERICAL and len(err.splitlines()) == 1 and not out, case
 
     @pytest.fixture
     def svd_fails(self, monkeypatch):
