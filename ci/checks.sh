@@ -66,7 +66,8 @@ presets() {
 
 # Gain-map output is identical across processes.
 # the default grid (41 points, half-width 2 d_th) holds 0; 60 points over +-3 lambda hold none;
-# one point is the focus (0, 0, L) alone
+# one point is the focus (0, 0, L) alone; 200 points, the CLI's cap, is the largest CSV
+# the writer streams (40,000 rows, 2.7 MB), in the cheapest mode
 gainmaps() {
   for m in exact phase_only fresnel; do
     twice gainmap_$m 0 gainmap --mode $m
@@ -75,6 +76,8 @@ gainmaps() {
     test $(wc -l < runs/gainmap_one_$m/1/gainmap.csv) -eq 2
     tail -n 1 runs/gainmap_one_$m/1/gainmap.csv | grep -q '^0,0,'
   done
+  twice gainmap_largest_fresnel 0 gainmap --mode fresnel --points 200
+  test $(wc -l < runs/gainmap_largest_fresnel/1/gainmap.csv) -eq 40001
 }
 
 # The sidecar re-runs to the same CSV and sidecar.
@@ -104,7 +107,8 @@ sidecar() {
 # d_th overflows at the 1e300 pair with spacing 1, and d_th / lambda at lambda 1e-320 and
 # L 1e300; the two fringe-EDoF reports leave the float range in plain Python floats; the
 # 1e160 spacing and the 1e308 power overflow in numpy, whose warning the numerical-failure
-# boundary raises as that one line; a gain map whose focus distances underflow leaves no
+# boundary raises as that one line; below lambda ~ 3.5e-308 the wavenumber 2 pi / lambda
+# overflows, and the line names it; a gain map whose focus distances underflow leaves no
 # output file behind
 cli() {
   twice report 0 report
@@ -117,6 +121,9 @@ cli() {
   twice fringe_overflow 2 report --wavelength 1e-5 --spacing 1e75 --separation 1e-5 --side-count 2
   twice distance_overflow 2 report --spacing 1e160
   twice capacity_overflow 2 report --spacing 0.002 --side-count 5 --separation 0.05 --power 1e308
+  twice wavenumber_overflow 2 report --wavelength 1e-320 --side-count 2 --spacing 1 --separation 1
+  grep -q '^numerical error: the wavenumber k = 2 pi / lambda leaves the float range at ' \
+    runs/wavenumber_overflow/1/stderr
   twice focus_underflow 2 gainmap --separation 1e-200 --points 2
 }
 

@@ -170,9 +170,10 @@ def gain_map(setup: FocusSetup, coords, mode: GainMode = GainMode.PHASE_ONLY) ->
 
 def write_gain_map_csv(coords, mode: GainMode, gains, path) -> None:
     """Write gain_map's gains over `coords` x `coords` as CSV rows (probe_x, probe_y, mode,
-    gain), every number with 17 significant digits; each coordinate is formatted once."""
+    gain), every number with 17 significant digits; each coordinate is formatted once, and
+    each row is written as it is formatted, so no more than one row is held as text."""
     cells = [f"{c:.17g}" for c in coords]
     probes = (f"{x},{y},{mode.value}," for x in cells for y in cells)
     with open(path, "w", newline="") as fh:
         fh.write("probe_x,probe_y,mode,gain\n")
-        fh.write("".join(f"{probe}{g:.17g}\n" for probe, g in zip(probes, gains, strict=True)))
+        fh.writelines(f"{probe}{g:.17g}\n" for probe, g in zip(probes, gains, strict=True))

@@ -40,7 +40,7 @@ import contextlib
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +51,13 @@ _SLAB_BYTES = 8 << 20  # bounds each gathered addend; at S = 25 (at most 457 kB)
 
 @dataclass(frozen=True)
 class SystemGeometry:
-    """Transmit and receive UPAs in parallel planes, plus the carrier wavelength."""
+    """Transmit and receive UPAs in parallel planes, plus the carrier wavelength and its
+    wavenumber k = 2 pi / lambda, computed once when the geometry is built."""
 
     tx: PlanarArray
     rx: PlanarArray
     wavelength: float
+    wavenumber: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.wavelength) or self.wavelength <= 0:
@@ -65,14 +67,13 @@ class SystemGeometry:
                 "receive plane must be strictly beyond the transmit plane "
                 f"(separation {self.separation})"
             )
+        # below lambda ~ 3.5e-308, 2 pi / lambda overflows
+        k = _finite("the wavenumber k = 2 pi / lambda", lambda: 2 * np.pi / self.wavelength)
+        object.__setattr__(self, "wavenumber", k)
 
     @property
     def separation(self) -> float:
         return self.rx.plane_offset - self.tx.plane_offset
-
-    @property
-    def wavenumber(self) -> float:
-        return 2 * np.pi / self.wavelength
 
 
 class ChannelMatrix:

@@ -82,6 +82,18 @@ class TestSystemGeometry:
         with pytest.raises(ValueError):
             SystemGeometry(tx=tx, rx=rx, wavelength=0.0)
 
+    @pytest.mark.parametrize("wavelength", [1e-320, 1e-308])
+    def test_wavenumber_overflow_is_named(self, wavelength):
+        # 2 pi / lambda is inf below lambda ~ 3.5e-308; numpy would name no quantity
+        with pytest.raises(
+            ArithmeticError, match=r"^the wavenumber k = 2 pi / lambda leaves the float range$"
+        ):
+            make_system(side=2, spacing=1.0, wavelength=wavelength, separation=1.0)
+
+    def test_smallest_wavelengths_keep_a_finite_wavenumber(self):
+        geo = make_system(side=2, spacing=1.0, wavelength=4e-308, separation=1.0)
+        assert geo.wavenumber == 2 * np.pi / 4e-308
+
 
 class TestBuildChannel:
     def test_single_pair_equals_greens(self):

@@ -436,6 +436,17 @@ class TestNumericalErrors:
                 "d_th / lambda leaves the float range",
                 "wavelength 1e-320 m, spacing 1e-100 m and separation 1e+300 m",
             ),
+            (
+                ["report", "--wavelength", "1e-320", "--spacing", "1", "--separation", "1"],
+                "the wavenumber k = 2 pi / lambda leaves the float range",
+                "wavelength 1e-320 m, spacing 1.0 m and separation 1.0 m",
+            ),
+            (
+                ["gainmap", "--wavelength", "1e-320", "--spacing", "1", "--separation", "1",
+                 "--points", "2"],
+                "the wavenumber k = 2 pi / lambda leaves the float range",
+                "wavelength 1e-320 m, spacing 1.0 m and separation 1.0 m",
+            ),
         ],
         ids=[
             "gainmap_coincident",
@@ -446,17 +457,21 @@ class TestNumericalErrors:
             "threshold_spacing",
             "threshold_underflow",
             "threshold_lambda",
+            "report_wavenumber",
+            "gainmap_wavenumber",
         ],
     )
     def test_threshold_out_of_float_range_names_the_lengths(
         self, tmp_path, monkeypatch, capsys, argv, cause, lengths
     ):
         # d_th or epsilon is 0, inf or so small that the focus coincides with a transmit
-        # antenna; each failure is numerical, not a fault of a grid or probe the user gave
+        # antenna, or 2 pi / lambda is inf; each failure is numerical, not a fault of a grid
+        # or probe the user gave
         monkeypatch.chdir(tmp_path)
         err = self.assert_numerical(main(argv), capsys, f"{cause} at {lengths}, side count 25")
         for name in ("wavelength", "spacing", "separation"):
             assert err.count(f"{name} ") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_extreme_lengths_print_finite_numbers_or_fail_in_one_line(self, capsys):
         # d_th / lambda used to print as inf with exit 0 at lambda = 1e-320, L = 1e307
