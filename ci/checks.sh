@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The CI checks, one function per workflow step after the install:
-#   ci/checks.sh STEP...   (STEP: tier1|bench|presets|gainmaps|sidecar|cli|oom)
+#   ci/checks.sh STEP...   (STEP: tier1|dense|bench|presets|gainmaps|sidecar|cli|oom)
 # The steps named run in the order given, and the first that fails stops the run.
 # Each runs from the repository root and writes every output under runs/. `sidecar`
 # re-runs the fig5 sidecar that `presets` writes, so run `presets` first:
 #   ci/checks.sh presets sidecar
-# CI sets OPENBLAS_NUM_THREADS=1, which the byte comparisons assume.
+# CI sets OPENBLAS_NUM_THREADS=1, which the byte comparisons assume; `dense` sets 2 itself.
 set -e
 cd "$(dirname "$0")/.."
 src=$PWD/src
@@ -36,6 +36,14 @@ twice() {
 # Tier-1 tests.
 tier1() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --durations=15 --continue-on-collection-errors
+}
+
+# The dense channels' spectra are the SVD of their entries bit for bit at two BLAS threads
+# too, on both sides of the cut-over where build_channel QR-factors a tall matrix in place.
+dense() {
+  OPENBLAS_NUM_THREADS=2 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
+    tests/test_spectrum.py::TestTallOrientation::test_dense_spectrum_is_the_svd_of_the_entries_bitwise \
+    tests/test_spectrum.py::TestTallOrientation::test_the_cut_over_is_zgesdds
 }
 
 # Each benchmark workload runs and its outputs pass the oracle.
@@ -135,7 +143,7 @@ oom() {
 }
 
 usage() {
-  echo "usage: ci/checks.sh tier1|bench|presets|gainmaps|sidecar|cli|oom..." >&2
+  echo "usage: ci/checks.sh tier1|dense|bench|presets|gainmaps|sidecar|cli|oom..." >&2
   exit 1
 }
 
@@ -143,7 +151,7 @@ usage() {
 test $# -gt 0 || usage
 for step in "$@"; do
   case "$step" in
-    tier1 | bench | presets | gainmaps | sidecar | cli | oom) ;;
+    tier1 | dense | bench | presets | gainmaps | sidecar | cli | oom) ;;
     *) usage ;;
   esac
 done

@@ -10,11 +10,9 @@ route rounds the distance as np.linalg.norm rounds it, sqrt((dx^2 + dy^2) +
 dz^2), so all of them give bit-identical entries:
 
 - Grid arrays, as `PlanarArray.grid` finds them. `build_channel` broadcasts
-  the two arrays' small squared-offset tables into one N_R x N_S distance
-  array and evaluates the kernel in place on one complex array. That complex
-  output is allocated before the float distance table, so the table, freed when
-  `build_channel` returns, is the topmost heap block and a later allocation of
-  its size (the SVD's copy of the entries) reuses its space instead of growing the heap.
+  the two arrays' small squared-offset tables into distances one slab of rows
+  at a time and evaluates the kernel of each slab into one complex array, so
+  the float distance table never exists whole.
 - Coaxial twins. When both grids have x == y == c, centred bit for bit
   (c == -c[::-1]), the squared offsets are (c[n] - c[n'])^2 on both axes.
   `build_channel` then evaluates the kernel once per distinct pair of them,
@@ -30,8 +28,15 @@ dz^2), so all of them give bit-identical entries:
 - Any other positions, such as a tilted or jittered array, take the per-pair
   assembly: one np.linalg.norm over every antenna pair, the tests' reference.
 
-Every route returns a `ChannelMatrix`, built from the matrix, its one block, or
-from a twin's blocks and its gather; the channel flags what it holds read-only.
+Both dense routes, the grid and the per-pair one, fill one C-order array that is
+the column-major layout of the matrix's tall orientation, the one the spectrum
+decomposes: G itself when N_R < N_S, else G^T. When that tall matrix has m >=
+int(17 n / 9) rows for its n columns, LAPACK's SVD would QR-factor a copy of it
+first; `build_channel` runs that step in place in the array, keeps only the
+n x n factor R as the channel's one block, and re-assembles G when `entries` is
+read. Every route returns a `ChannelMatrix`, built from the matrix, its one block,
+or from blocks (a twin's, or R) with a gather; the channel flags what it holds
+read-only.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ import numpy as np
 
 from .geometry import PlanarArray
 
-_SLAB_BYTES = 8 << 20  # bounds each gathered addend; at S = 25 (at most 457 kB) it is one slab
+# bounds each gathered addend and each float slab of a dense grid's distances; a fold at
+# S = 25 (at most 457 kB) is one slab
+_SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,13 @@ class SystemGeometry:
 class ChannelMatrix:
     """Complex (N_R, N_S) matrix of Green's-function coefficients, plus (block,
     multiplicity) pairs whose singular values, each repeated `multiplicity` times, are
-    those of `entries` and whose span is `shape`: a coaxial twin's D4 blocks, else `entries`.
+    those of `entries`: a coaxial twin's D4 blocks, a tall dense matrix's QR factor R, else
+    `entries`.
 
-    Built from `entries`, its one block, or from `blocks` and a `gather` that returns the
-    matrix on the first read of `entries`; any other combination raises ValueError. It flags
-    its blocks and gathered matrix read-only and keeps a read-only view of given entries.
+    Built from `entries`, its one block, or from `blocks`, a `gather` that returns the
+    matrix on the first read of `entries`, and the matrix's `shape`; any other combination
+    raises ValueError. It flags its blocks and gathered matrix read-only and keeps a
+    read-only view of given entries.
     """
 
     def __init__(
@@ -92,16 +101,18 @@ class ChannelMatrix:
         blocks: tuple[tuple[np.ndarray, int], ...] = (),
         *,
         gather: Callable[[], np.ndarray] | None = None,
+        shape: tuple[int, int] | None = None,
     ):
-        if (entries is None) == (gather is None) or bool(blocks) != (gather is not None):
-            raise ValueError("a channel is built from its entries, or from its blocks and a gather")
+        if (bool(blocks), gather is not None, shape is not None) != ((entries is None),) * 3:
+            raise ValueError(
+                "a channel is built from its entries, or from its blocks and a gather with a shape"
+            )
         if entries is not None:
             entries = self.__dict__["entries"] = entries.view()  # fills the cached property below
-            blocks = ((entries, 1),)
-        self.blocks, self._gather = tuple(blocks), gather
+            blocks, shape = ((entries, 1),), entries.shape
+        self.blocks, self._gather, self.shape = tuple(blocks), gather, tuple(shape)
         for block, _ in self.blocks:
             block.setflags(write=False)
-        self.shape = tuple(sum(m * b.shape[axis] for b, m in self.blocks) for axis in (0, 1))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -131,7 +142,7 @@ def greens(receive_point, source_point, wavelength: float) -> complex:
     r = float(np.linalg.norm(rp - sp))
     if r == 0.0:
         raise ValueError("Green's function is singular for coincident points")
-    k = 2 * np.pi / wavelength
+    k = _finite("the wavenumber k = 2 pi / lambda", lambda: 2 * np.pi / wavelength)
     return complex(-np.exp(1j * k * r) / (4 * np.pi * r))
 
 
@@ -247,35 +258,80 @@ def _parity_blocks(table: np.ndarray, index: np.ndarray) -> tuple[tuple[np.ndarr
     return tuple(blocks)
 
 
+def _assemble(geometry: SystemGeometry) -> np.ndarray:
+    """The N_R x N_S channel G, as a view whose tall orientation is column-major: the C-order
+    G when N_R < N_S, else the transpose of a C-order G^T. G^T is filled from the same sums
+    as G, since |t - r| rounds as |r - t|, so every entry keeps its bits."""
+    wide = geometry.rx.size < geometry.tx.size
+    short, long = (geometry.rx, geometry.tx) if wide else (geometry.tx, geometry.rx)
+    k = geometry.wavenumber
+    if short.grid is None or long.grid is None:
+        diff = short.positions[:, None, :] - long.positions[None, :, :]
+        r = np.linalg.norm(diff, axis=2)
+        del diff
+        buffer = _kernel(r, k)
+    else:
+        (short_xy, short_z), (long_xy, long_z) = short.grid, long.grid
+        # dx2[a, n] and dy2[b, m] for short-side antenna (a, b) and long-side antenna (n, m)
+        offsets = short_xy[:, :, None] - long_xy[:, None, :]
+        (dx2, dy2), dz = offsets * offsets, long_z - short_z
+        buffer = np.empty((short.size, long.size), complex)
+        rows_of_x = buffer.reshape(len(dx2), -1)  # one row per short-side x
+        step = max(1, _SLAB_BYTES // (8 * rows_of_x[0].size))  # bounds each float slab
+        for start in range(0, len(dx2), step):
+            rows = slice(start, start + step)
+            r = _distance(dx2[rows, None, :, None], dy2[None, :, None, :], dz)
+            _kernel(r, k, out=rows_of_x[rows].reshape(r.shape))
+    return buffer if wide else buffer.T
+
+
+def _dense(g: np.ndarray, gather: Callable[[], np.ndarray]) -> ChannelMatrix:
+    """The channel G, given as a view whose tall orientation is column-major, as `_assemble`
+    returns it; `gather` gives G again.
+
+    With m rows and n columns in that orientation, LAPACK's `zgesdd` first QR-factors a
+    matrix with m >= int(17 n / 9) and decomposes only the n x n factor R. Here that step
+    runs in G's own buffer, overwriting it with numpy's own `zgeqrf` (a workspace query,
+    then the optimal workspace), so the channel keeps R and gathers G again when `entries`
+    is read: the singular values come out bit for bit as `zgesdd` gives them for G, unless
+    the largest magnitude in G or in R is outside about [6.7e-139, 1.5e138], where `zgesdd`
+    scales its input first and the two differ in the last bits. Below the cut-over,
+    `zgesdd` bidiagonalises G directly, and G stays the one block `entries`.
+    """
+    tall = g if g.shape[0] >= g.shape[1] else g.T
+    m, n = tall.shape
+    if m < int(17 * n / 9):  # zgesdd's MNTHR1
+        return ChannelMatrix(entries=g)
+    # loaded here: at import, it raises the peak RSS of runs that never factor by 0.2 MB
+    from numpy.linalg import lapack_lite
+
+    tau, work = np.empty(n, complex), np.empty(1, complex)
+    lapack_lite.zgeqrf(m, n, tall.T, m, tau, work, -1, 0)
+    work = np.empty(int(work[0].real), complex)
+    lapack_lite.zgeqrf(m, n, tall.T, m, tau, work, len(work), 0)
+    return ChannelMatrix(blocks=((np.triu(tall[:n]), 1),), gather=gather, shape=g.shape)
+
+
 def build_channel(geometry: SystemGeometry) -> ChannelMatrix:
     """Assemble the exact Green's-function channel matrix.
 
     entries[i, j] couples receive antenna i to transmit antenna j, using
     the array ordering fixed by `geometry`'s PlanarArrays. A coaxial twin
-    grid's matrix is gathered only when `entries` is read.
+    grid's matrix, and a dense matrix that the spectrum decomposes through
+    its QR factor, are gathered only when `entries` is read.
     """
     tx, rx = geometry.tx.grid, geometry.rx.grid
-    shape = (len(geometry.rx.positions), len(geometry.tx.positions))
-    k = geometry.wavenumber
-    if tx is None or rx is None:
-        diff = geometry.rx.positions[:, None, :] - geometry.tx.positions[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
-        del diff
-        entries = _kernel(r, k)
-    else:
-        # dx2[a, n] and dy2[b, m] for rx antenna (a, b) and tx antenna (n, m)
-        offsets = rx[0][:, :, None] - tx[0][:, None, :]
-        (dx2, dy2), dz = offsets * offsets, rx[1] - tx[1]
-        if _shared_grid(tx[0], rx[0]):  # then dy2 == dx2
-            squares, index = np.unique(dx2, return_inverse=True)
-            table = _kernel(_distance(squares[:, None], squares[None, :], dz), k)
-            index = index.reshape(dx2.shape)
+    if tx is None or rx is None or not _shared_grid(tx[0], rx[0]):
+        return _dense(_assemble(geometry), functools.partial(_assemble, geometry))
+    # the squared x offsets, which are also the y ones
+    dx = rx[0][0][:, None] - tx[0][0][None, :]
+    squares, index = np.unique(dx * dx, return_inverse=True)
+    r = _distance(squares[:, None], squares[None, :], rx[1] - tx[1])
+    table = _kernel(r, geometry.wavenumber)
+    index = index.reshape(dx.shape)
+    n = geometry.rx.size
 
-            def gather():
-                return table[index[:, None, :, None], index[None, :, None, :]].reshape(shape)
+    def gather():
+        return table[index[:, None, :, None], index[None, :, None, :]].reshape(n, n)
 
-            return ChannelMatrix(blocks=_parity_blocks(table, index), gather=gather)
-        entries = np.empty(shape, complex)  # before the table: see the module docstring
-        r = _distance(dx2[:, None, :, None], dy2[None, :, None, :], dz)
-        _kernel(r, k, out=entries.reshape(r.shape))
-    return ChannelMatrix(entries=entries)
+    return ChannelMatrix(blocks=_parity_blocks(table, index), gather=gather, shape=(n, n))

@@ -64,6 +64,13 @@ class TestGreens:
         with pytest.raises(ValueError, match="points must be 3D"):
             greens((0, 0), (0, 0, 1), 0.01)
 
+    def test_wavenumber_overflow_is_named(self):
+        # below lambda ~ 3.5e-308, 2 pi / lambda overflows, and the entry would be nan+nanj
+        with pytest.raises(
+            ArithmeticError, match=r"^the wavenumber k = 2 pi / lambda leaves the float range$"
+        ):
+            greens((0, 0, 0), (0, 0, 1), 1e-320)
+
 
 class TestSystemGeometry:
     def test_separation(self):
@@ -286,7 +293,11 @@ class TestGridAssembly:
         entries = ch.entries
         assert norm_shapes == []
         [(block, multiplicity)] = ch.blocks
-        assert block is entries and multiplicity == 1
+        assert multiplicity == 1
+        if case == "unequal_sides":  # 9 >= int(17 * 4 / 9): the block is R, 4 x 4
+            assert block.shape == (rx.size, rx.size)
+        else:
+            assert block is entries
         assert entries.shape == (rx.size, tx.size)
         assert not entries.flags.writeable
         assert np.array_equal(entries, dense_entries(geo))
@@ -375,6 +386,47 @@ print(peak_kib_after(25, 40) - first)
         )
         assert run.returncode == 0, run.stderr
         assert int(run.stdout) <= 2048  # KiB, as Linux reports ru_maxrss
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_tall_dense_build_and_spectrum_peak_within_one_and_three_quarter_entries(self):
+        # the 1600 x 625 matrix is QR-factored in its own buffer, and the SVD copies only R
+        # (625 x 625): 1.51 x; an SVD copy of the whole matrix takes it to 2.12 x.
+        # The child reads its own peak, VmHWM: its ru_maxrss would start at this process's,
+        # which Linux carries over through fork and exec
+        child = """
+from nfmimo.channel import SystemGeometry, build_channel
+from nfmimo.geometry import PlanarArray, build_upa
+from nfmimo.spectrum import eigen_spectrum
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split("VmHWM:")[1].split()[0])
+
+def spectrum(tx_side, rx_side):
+    tx = build_upa(tx_side, 0.01, 0.0)
+    grid = build_upa(rx_side, 0.012, 30.0)
+    rx = PlanarArray(
+        side_count=rx_side, spacing=0.012, plane_offset=30.0,
+        positions=grid.positions + (0.05, -0.03, 0.0),
+    )
+    eigen_spectrum(build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01)))
+
+spectrum(4, 6)  # BLAS and LAPACK set up before the measurement
+before = peak_kib()
+spectrum(25, 40)
+spectrum(40, 25)
+print(peak_kib() - before)
+"""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(pathlib.Path(nfmimo.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) * 1024 <= 1.75 * 1600 * 625 * 16  # the entries' bytes
 
 
 class TestLazyEntries:
@@ -509,10 +561,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("case", ["twin", "shifted_rx", "unequal_sides", "jittered_tx"])
     def test_every_channel_lists_blocks_that_span_it(self, case):
+        # a twin's blocks and a dense matrix span it; a tall one's R (unequal_sides) spans its
+        # short side, one singular value per row of R
         geo = make_system() if case == "twin" else moved_system(case)
         ch = build_channel(geo)
         spans = tuple(sum(m * block.shape[axis] for block, m in ch.blocks) for axis in (0, 1))
-        assert ch.blocks and spans == ch.shape == ch.entries.shape == (geo.rx.size, geo.tx.size)
+        short = min(ch.shape)
+        assert spans == ((short, short) if case == "unequal_sides" else ch.shape)
+        assert ch.blocks and ch.shape == ch.entries.shape == (geo.rx.size, geo.tx.size)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -522,9 +578,11 @@ class TestBlocks:
             {"blocks": ((np.eye(2, dtype=complex), 1),)},
             {"gather": lambda: np.eye(2, dtype=complex)},
             {"entries": np.eye(2, dtype=complex), "gather": lambda: np.eye(2, dtype=complex)},
+            {"blocks": ((np.eye(2, dtype=complex), 1),), "gather": lambda: np.eye(2, dtype=complex)},
+            {"entries": np.eye(2, dtype=complex), "shape": (2, 2)},
         ],
         ids=["nothing", "entries_and_blocks", "blocks_without_gather", "gather_without_blocks",
-             "entries_and_gather"],
+             "entries_and_gather", "gather_without_shape", "entries_and_shape"],
     )
     def test_a_channel_is_built_from_entries_or_from_blocks_and_a_gather(self, kwargs):
         with pytest.raises(ValueError, match="from its entries, or from its blocks and a gather"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from nfmimo import channel
 from nfmimo.channel import ChannelMatrix, SystemGeometry, build_channel
 from nfmimo.experiments import PRESETS, SweepSpec, auto_power, coaxial_system
 from nfmimo.geometry import PlanarArray, build_upa
@@ -247,14 +248,28 @@ class TestParityBlocks:
 SEPARATION = 0.2
 
 
-def offaxis_channel(tx_side, rx_side):
-    """A tx grid facing an rx grid shifted off the axis: dense, N_R x N_S, no blocks."""
+def offaxis_geometry(tx_side, rx_side, jittered=False):
+    """A tx grid facing an rx grid shifted off the axis; `jittered` moves one rx antenna
+    by 1 nm along x, so the pair is no grid pair and takes the per-pair assembly."""
     spacing = 0.018
     tx = build_upa(tx_side, spacing, 0.0)
     grid = build_upa(rx_side, spacing, SEPARATION)
     shifted = grid.positions + (0.009, 0.0, 0.0)
+    if jittered:
+        shifted[0, 0] += 1e-9
     rx = PlanarArray(side_count=rx_side, spacing=spacing, plane_offset=SEPARATION, positions=shifted)
-    return build_channel(SystemGeometry(tx=tx, rx=rx, wavelength=0.01))
+    return SystemGeometry(tx=tx, rx=rx, wavelength=0.01)
+
+
+def offaxis_channel(tx_side, rx_side):
+    """The dense N_R x N_S channel of `offaxis_geometry`: no D4 blocks."""
+    return build_channel(offaxis_geometry(tx_side, rx_side))
+
+
+def norm_entries(geo):
+    """Oracle: every distance by np.linalg.norm over all antenna pairs."""
+    r = np.linalg.norm(geo.rx.positions[:, None, :] - geo.tx.positions[None, :, :], axis=2)
+    return -np.exp(1j * geo.wavenumber * r) / (4 * np.pi * r)
 
 
 def complex_normal(seed, shape):
@@ -268,13 +283,14 @@ def wide_block_channel():
     entries = np.zeros((8, 12), dtype=complex)
     entries[0:3, 0:5] = entries[3:6, 5:10] = wide
     entries[6:8, 10:12] = square
-    return ChannelMatrix(blocks=((wide, 2), (square, 1)), gather=lambda: entries)
+    return ChannelMatrix(blocks=((wide, 2), (square, 1)), gather=lambda: entries, shape=(8, 12))
 
 
 TALL_CASES = {
-    # name: (channel, shapes np.linalg.svd receives)
-    "wide_grid_pair": lambda: (offaxis_channel(6, 4), [(36, 16)]),
-    "tall_grid_pair": lambda: (offaxis_channel(4, 6), [(36, 16)]),
+    # name: (channel, shapes np.linalg.svd receives); 36 >= int(17 * 16 / 9), so the
+    # grid pairs reach it as their QR factor R
+    "wide_grid_pair": lambda: (offaxis_channel(6, 4), [(16, 16)]),
+    "tall_grid_pair": lambda: (offaxis_channel(4, 6), [(16, 16)]),
     "wide_matrix": lambda: (matrix_channel(complex_normal(5, (5, 9))), [(9, 5)]),
     "wide_block": lambda: (wide_block_channel(), [(5, 3), (2, 2)]),
 }
@@ -301,6 +317,43 @@ class TestTallOrientation:
     def test_tall_channel_takes_the_dense_svd_unchanged(self):
         ch = offaxis_channel(4, 6)
         np.testing.assert_array_equal(eigen_spectrum(ch).values, dense_spectrum(ch).values)
+
+    # (tx side, rx side): 16 antennas against 25 stay whole, as 25 < int(17 * 16 / 9) = 30;
+    # against 36 they are QR-factored. Each in both orientations
+    @pytest.mark.parametrize("jittered", [False, True], ids=["grid", "per_pair"])
+    @pytest.mark.parametrize(
+        "sides", [(5, 4), (4, 5), (6, 4), (4, 6)], ids=["16x25", "25x16", "16x36", "36x16"]
+    )
+    def test_dense_spectrum_is_the_svd_of_the_entries_bitwise(self, svd_shapes, sides, jittered):
+        geo = offaxis_geometry(*sides, jittered=jittered)
+        ch = build_channel(geo)
+        values = eigen_spectrum(ch).values
+        assert (geo.rx.grid is None) == jittered
+        short, long = sorted(ch.shape)
+        factored = long >= int(17 * short / 9)
+        assert svd_shapes == [(short, short) if factored else (long, short)]
+        [(block, multiplicity)] = ch.blocks
+        assert multiplicity == 1 and (block is not ch.entries) == factored
+        entries = ch.entries
+        assert entries.shape == ch.shape == (geo.rx.size, geo.tx.size)
+        assert not entries.flags.writeable
+        assert np.array_equal(entries, norm_entries(geo))
+        # a wide matrix's own SVD takes LAPACK's LQ route, whose bits differ; its transpose's
+        tall = entries.T if entries.shape[0] < entries.shape[1] else entries
+        np.testing.assert_array_equal(values, np.linalg.svd(tall, compute_uv=False) ** 2)
+
+    @pytest.mark.parametrize("n", [1, 9, 90])
+    def test_the_cut_over_is_zgesdds(self, svd_shapes, n):
+        # zgesdd QR-factors an m x n matrix first from m = int(17 n / 9) rows on: there the
+        # factored spectrum is np.linalg.svd's bit for bit, and one row fewer stays whole
+        m = int(17 * n / 9)
+        for rows in sorted({max(n, m - 1), m}):
+            g = complex_normal(n, (rows, n))
+            # column-major, as channel._assemble lays out a tall matrix
+            ch = channel._dense(np.asfortranarray(g), lambda: g)
+            values = eigen_spectrum(ch).values
+            assert svd_shapes.pop() == ((n, n) if rows == m else (rows, n))
+            np.testing.assert_array_equal(values, np.linalg.svd(g, compute_uv=False) ** 2)
 
     @pytest.mark.parametrize("case", TALL_CASES)
     def test_matches_dense_svd_and_smaller_gram(self, case):
